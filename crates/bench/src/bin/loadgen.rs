@@ -15,7 +15,10 @@
 //!   soon as the previous answer arrives — the steady-state throughput
 //!   mode the `service` experiment measures;
 //! * **open** loop: requests are released on a fixed global schedule of
-//!   `--rate` requests/second, and each latency is measured from the
+//!   `--rate` queries/second — request `i` is due at `i / rate` (counting
+//!   queries, so a client batch of N takes N slots) — and connection `c`
+//!   of `C` sends requests `c, c + C, …`, so every connection carries its
+//!   share of the schedule at once. Each latency is measured from the
 //!   request's *scheduled* send time, so queueing delay is charged to the
 //!   server (no coordinated omission).
 //!
@@ -174,6 +177,21 @@ fn batch_body_of(queries: &[Aabb<3>]) -> String {
     body
 }
 
+/// The requests connection `c` of `connections` sends, as ranges of query
+/// indices: consecutive runs of `step` queries dealt round-robin over the
+/// connections. On the open-loop schedule a request is due at
+/// `range.start / rate` seconds.
+fn schedule(
+    c: usize,
+    connections: usize,
+    queries: usize,
+    step: usize,
+) -> impl Iterator<Item = std::ops::Range<usize>> {
+    (c * step..queries)
+        .step_by(connections * step)
+        .map(move |start| start..(start + step).min(queries))
+}
+
 fn main() {
     let args = parse_args();
     let universe = fetch_universe(&args.addr).unwrap_or_else(|e| {
@@ -217,25 +235,28 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let chunk = queries.len().div_ceil(args.connections).max(1);
     let interval = Duration::from_secs_f64(1.0 / args.rate.max(1e-9));
+    let step = args.batch.max(1);
+    let connections = args.connections.min(queries.len().div_ceil(step));
     let started = Instant::now();
     std::thread::scope(|scope| {
-        for (c, slice) in queries.chunks(chunk).enumerate() {
-            let (lat, failures, completed) = (&lat, &failures, &completed);
+        for c in 0..connections {
+            let (lat, failures, completed, queries) = (&lat, &failures, &completed, &queries);
             let (addr, batch) = (args.addr.clone(), args.batch);
             scope.spawn(move || {
+                let mine = || schedule(c, connections, queries.len(), step);
                 let Ok(mut client) = minihttp::Client::connect(&addr) else {
-                    failures.fetch_add(slice.len() as u64, Ordering::Relaxed);
+                    let n: usize = mine().map(|r| r.len()).sum();
+                    failures.fetch_add(n as u64, Ordering::Relaxed);
                     return;
                 };
-                let step = batch.max(1);
-                for (r, group) in slice.chunks(step).enumerate() {
+                for range in mine() {
+                    let group = &queries[range.clone()];
                     // Open loop: release on the global schedule; latency is
                     // measured from the scheduled time so server queueing
                     // delay is charged, not hidden (coordinated omission).
                     let t = if open {
-                        let scheduled = started + interval.mul_f64((c * chunk + r * step) as f64);
+                        let scheduled = started + interval.mul_f64(range.start as f64);
                         if let Some(wait) = scheduled.checked_duration_since(Instant::now()) {
                             std::thread::sleep(wait);
                         }
@@ -282,5 +303,24 @@ fn main() {
     );
     if failed > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::schedule;
+
+    #[test]
+    fn open_schedule_interleaves_connections() {
+        let due: Vec<Vec<usize>> = (0..3)
+            .map(|c| schedule(c, 3, 10, 1).map(|r| r.start).collect())
+            .collect();
+        assert_eq!(due, vec![vec![0, 3, 6, 9], vec![1, 4, 7], vec![2, 5, 8]]);
+
+        // Client batches: consecutive runs of `step`, dealt round-robin,
+        // every query exactly once, the last run short.
+        let runs: Vec<Vec<std::ops::Range<usize>>> =
+            (0..2).map(|c| schedule(c, 2, 11, 3).collect()).collect();
+        assert_eq!(runs, vec![vec![0..3, 6..9], vec![3..6, 9..11]]);
     }
 }

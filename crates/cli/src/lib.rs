@@ -156,7 +156,8 @@ pub enum Command {
         addr: String,
         /// Shard count for a cold start (0 = one shard).
         shards: usize,
-        /// Worker threads per parallelism level (0 = auto).
+        /// Most jobs per parallelism level (0 = auto); all levels share the
+        /// executor's one thread budget.
         threads: usize,
         /// Queries per admission group (1 disables grouping).
         max_batch: usize,
@@ -348,11 +349,12 @@ USAGE:
 
 Datasets are 3-d; FILE extension picks the format (.qsd binary, .csv text).
 --batch N executes the workload in batches of N queries through the index's
-batch path (QUASII cracks disjoint top-level partitions on --threads workers;
-0 = machine parallelism). --shards K (quasii only) splits the dataset across
-K QUASII engines behind a key-range router; with --batch N, --threads feeds
-both parallelism levels (--threads shard workers x --threads engine workers)
-and results come back in canonical id-sorted order.
+batch path (QUASII cracks disjoint top-level partitions, up to --threads at
+once; 0 = machine parallelism). --shards K (quasii only) splits the dataset
+across K QUASII engines behind a key-range router; with --batch N, --threads
+caps both levels (shards at once, partitions at once per shard), which draw
+from one pool of machine-parallelism threads, and results come back in
+canonical id-sorted order.
 --pattern skewed is a Zipf hot-region workload that concentrates
 most queries on one region (the shard-imbalance stress). Results are
 identical to one-by-one execution. --assign-by picks QUASII's slice

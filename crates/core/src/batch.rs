@@ -4,12 +4,14 @@
 //!
 //! 1. **Shared-read phase** — queries whose whole §5.2 candidate window is
 //!    covered by sealed arenas (see [`crate::seal`]) are pure reads: they
-//!    run on a `&self` thread pool with *no* disjoint-partition constraint
-//!    and no work-queue Mutex (an atomic cursor hands out queries). In the
-//!    converged regime this phase is the entire batch.
+//!    run as `&self` jobs on the process-wide [`crate::exec`] executor with
+//!    *no* disjoint-partition constraint. In the converged regime this
+//!    phase is the entire batch.
 //! 2. **Crack phase** — everything else falls back to the adaptive `&mut`
-//!    machinery below, lazily invalidating just the seals the fallback
-//!    queries span.
+//!    machinery below. Seals stay in place: a crack-phase query that spans
+//!    a sealed root slice walks its converged subtree without modifying it,
+//!    so the only seal bookkeeping is marking the query's window dirty for
+//!    the next sweep (which may seal slices the query just converged).
 //!
 //! The crack phase exploits exactly the structure the paper builds:
 //! QUASII's top-level slice list contiguously partitions the data array, and
@@ -21,8 +23,7 @@
 //! ranges), hands each worker the matching disjoint window of the
 //! assignment-key column (see [`crate::keys`]; cracks keep both in
 //! lockstep), assigns each query of the batch to the partitions the sequential
-//! engine would visit for it, and runs the partitions on scoped worker
-//! threads pulling from a chunked work queue.
+//! engine would visit for it, and runs the partitions as executor jobs.
 //!
 //! Splitting a batch into the two phases is result- and state-transparent:
 //! sealed regions are immutable (a converged subtree never reorganizes), so
@@ -54,15 +55,14 @@
 //! count *and* of how queries are split into batches.
 
 use crate::engine;
+use crate::exec;
 use crate::fence::KeyFences;
 use crate::slice::Slice;
 use crate::stats::QuasiiStats;
 use crate::{EnginePoisoned, Quasii};
 use quasii_common::geom::{Aabb, Record};
 use quasii_obs as obs;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::ops::Range;
 
 /// Closes a batch-phase span: feeds the phase histogram (metrics on) and
 /// emits a [`obs::trace::TraceEvent::BatchPhase`] (tracing on). `t` comes
@@ -80,17 +80,6 @@ fn finish_phase(t: Option<std::time::Instant>, phase: obs::Phase, queries: u64) 
     });
 }
 
-/// Renders a caught panic payload for the poison marker.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// The one-shot test trap: panics when the worker reaches the trapped
 /// query index (see `Quasii::inject_panic_at`).
 fn trap_check(trap: Option<usize>, j: usize) {
@@ -99,16 +88,26 @@ fn trap_check(trap: Option<usize>, j: usize) {
     }
 }
 
-/// Work-queue chunking: partitions per worker thread, so stragglers (a
-/// partition that happens to hold the hot slices) rebalance onto idle
-/// workers instead of serializing the batch.
+/// Partitions per worker thread, so stragglers (a partition that happens
+/// to hold the hot slices) rebalance onto idle workers instead of
+/// serializing the batch.
 const CHUNKS_PER_WORKER: usize = 4;
+
+/// One shared-read job: a query whose candidate window is wholly sealed,
+/// and what answering it through the arenas produced.
+struct SealedJob {
+    /// Index of the query in the batch.
+    j: usize,
+    /// Its root-slice candidate window.
+    cand: Range<usize>,
+    out: Vec<u64>,
+    /// Objects tested at the bottom level.
+    tested: u64,
+}
 
 /// One unit of work: a contiguous run of top-level slices, the matching
 /// disjoint window of the data array, and the batch queries that reach it.
 struct Partition<'a, const D: usize> {
-    /// Position in partition order (ascending data ranges).
-    index: usize,
     /// Offset of `data[0]` within the full array (slices are rebased by
     /// this amount while the partition is detached).
     offset: usize,
@@ -126,7 +125,7 @@ struct Partition<'a, const D: usize> {
     queries: Vec<usize>,
     /// Ids found per assigned query (aligned with `queries`).
     hits: Vec<Vec<u64>>,
-    /// Work counters accumulated by whichever worker ran this partition.
+    /// Work counters accumulated by whichever thread ran this partition.
     stats: QuasiiStats,
 }
 
@@ -146,9 +145,10 @@ fn shift<const D: usize>(s: &mut Slice<D>, offset: usize, add: bool) {
 }
 
 impl<const D: usize> Quasii<D> {
-    /// The worker-thread count [`execute_batch`](Self::execute_batch) will
-    /// use: the [`threads`](crate::QuasiiConfig::threads) knob, with `0`
-    /// resolved to [`std::thread::available_parallelism`].
+    /// The most jobs [`execute_batch`](Self::execute_batch) asks the
+    /// executor to run at once: the [`threads`](crate::QuasiiConfig::threads)
+    /// knob, with `0` resolved to [`std::thread::available_parallelism`]
+    /// (the executor's thread budget may grant fewer).
     pub fn effective_threads(&self) -> usize {
         match self.cfg.threads {
             0 => std::thread::available_parallelism()
@@ -290,13 +290,18 @@ impl<const D: usize> Quasii<D> {
         // after it (cracks only ever split *unsealed* slices, so a sealed
         // query's window can never gain an unsealed candidate mid-batch).
         let span = obs::start_span();
-        let mut sealed_jobs: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+        let mut sealed_jobs: Vec<SealedJob> = Vec::new();
         let mut crack_jobs: Vec<usize> = Vec::new();
-        let mut crack_windows: Vec<std::ops::Range<usize>> = Vec::new();
+        let mut crack_windows: Vec<Range<usize>> = Vec::new();
         for j in 0..queries.len() {
             let cand = self.root_candidates(&extended[j]);
             if !self.root.is_empty() && self.all_sealed(cand.clone()) {
-                sealed_jobs.push((j, cand));
+                sealed_jobs.push(SealedJob {
+                    j,
+                    cand,
+                    out: Vec::new(),
+                    tested: 0,
+                });
             } else {
                 crack_jobs.push(j);
                 crack_windows.push(cand);
@@ -305,32 +310,25 @@ impl<const D: usize> Quasii<D> {
         finish_phase(span, obs::Phase::Classify, queries.len() as u64);
 
         // Phase 1 — shared-read execution over the sealed arenas: arbitrary
-        // queries on a `&self` thread pool, no disjoint-partition
-        // constraint, no work-queue Mutex (an atomic cursor hands out
-        // jobs). Reads commute with the crack phase below: sealed regions
-        // are immutable and crack queries never read them.
+        // queries as `&self` executor jobs, no disjoint-partition
+        // constraint. Reads commute with the crack phase below: sealed
+        // regions are immutable and crack queries never modify them.
         if !sealed_jobs.is_empty() {
             let span = obs::start_span();
-            self.run_sealed_batch(
-                queries,
-                &extended,
-                &sealed_jobs,
-                &mut results,
-                threads,
-                trap,
-            );
-            finish_phase(span, obs::Phase::SealedRead, sealed_jobs.len() as u64);
+            let count = sealed_jobs.len() as u64;
+            self.run_sealed_batch(queries, &extended, sealed_jobs, &mut results, threads, trap);
+            finish_phase(span, obs::Phase::SealedRead, count);
             if let Some(e) = self.poison_error() {
                 return Err(e);
             }
         }
 
-        // Phase 2 — the adaptive `&mut` path for everything else, after
-        // lazily invalidating just the seals the fallback queries span
-        // (root indices are still those of classification time: phase 1
-        // did not touch the tree).
+        // Phase 2 — the adaptive `&mut` path for everything else. Its
+        // windows are marked dirty for the next seal sweep (root indices
+        // are still those of classification time: phase 1 did not touch
+        // the tree); the seals themselves stay.
         for cand in crack_windows {
-            self.invalidate_candidates(cand);
+            self.mark_window_dirty(cand);
         }
         if crack_jobs.is_empty() {
             return Ok(results);
@@ -375,123 +373,68 @@ impl<const D: usize> Quasii<D> {
         qe: &Aabb<D>,
         out: &mut Vec<u64>,
     ) -> Result<(), EnginePoisoned> {
-        let r = catch_unwind(AssertUnwindSafe(|| {
+        let r = exec::catch(|| {
             trap_check(trap, j);
             self.query_unsealed(q, qe, out);
-        }));
-        if let Err(payload) = r {
-            self.poison(format!(
-                "panic during crack query {j}: {}",
-                panic_message(payload)
-            ));
+        });
+        if let Err(msg) = r {
+            self.poison(format!("panic during crack query {j}: {msg}"));
             return Err(self.poison_error().expect("poison just set"));
         }
         Ok(())
     }
 
-    /// Phase-1 executor: answers `jobs` (indices into the batch) entirely
-    /// through the sealed arenas. Workers share `&self` and pull jobs off an
-    /// atomic cursor; each query's result vector is computed independently
-    /// of scheduling, so results are byte-identical for every thread count.
+    /// Phase-1 executor: answers `jobs` entirely through the sealed
+    /// arenas, as `&self` executor jobs. Each query's result vector is
+    /// computed independently of scheduling, so results are byte-identical
+    /// for every thread count.
     fn run_sealed_batch(
         &mut self,
         queries: &[Aabb<D>],
         extended: &[Aabb<D>],
-        jobs: &[(usize, std::ops::Range<usize>)],
+        mut jobs: Vec<SealedJob>,
         results: &mut [Vec<u64>],
         threads: usize,
         trap: Option<usize>,
     ) {
+        let this: &Quasii<D> = self;
+        let outcome = exec::for_each_mut(threads, &mut jobs, |_, job| {
+            trap_check(trap, job.j);
+            job.tested = this.run_sealed_query(
+                &queries[job.j],
+                &extended[job.j],
+                job.cand.clone(),
+                &mut job.out,
+            );
+        });
+        let count = jobs.len() as u64;
         let mut tested_total = 0u64;
-        let mut worker_panic: Option<String> = None;
-        if threads <= 1 || jobs.len() < 2 {
-            for (j, cand) in jobs {
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    trap_check(trap, *j);
-                    let mut out = Vec::new();
-                    let tested =
-                        self.run_sealed_query(&queries[*j], &extended[*j], cand.clone(), &mut out);
-                    (out, tested)
-                }));
-                match r {
-                    Ok((out, tested)) => {
-                        results[*j] = out;
-                        tested_total += tested;
-                    }
-                    Err(payload) => {
-                        worker_panic = Some(panic_message(payload));
-                        break;
-                    }
-                }
-            }
-        } else {
-            let workers = threads.min(jobs.len());
-            let cursor = AtomicUsize::new(0);
-            let collected: Mutex<Vec<(usize, Vec<u64>, u64)>> =
-                Mutex::new(Vec::with_capacity(jobs.len()));
-            let panicked: Mutex<Option<String>> = Mutex::new(None);
-            let this: &Quasii<D> = self;
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, Vec<u64>, u64)> = Vec::new();
-                        loop {
-                            let t = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some((j, cand)) = jobs.get(t) else { break };
-                            // Isolate each job: a panic is recorded, never
-                            // unwound across the scope (which would abort
-                            // the batch with the results half-collected).
-                            let r = catch_unwind(AssertUnwindSafe(|| {
-                                trap_check(trap, *j);
-                                let mut out = Vec::new();
-                                let tested = this.run_sealed_query(
-                                    &queries[*j],
-                                    &extended[*j],
-                                    cand.clone(),
-                                    &mut out,
-                                );
-                                (out, tested)
-                            }));
-                            match r {
-                                Ok((out, tested)) => local.push((*j, out, tested)),
-                                Err(payload) => {
-                                    *panicked.lock().expect("panic slot poisoned") =
-                                        Some(panic_message(payload));
-                                    break;
-                                }
-                            }
-                        }
-                        // One lock per worker, at drain time — the hot loop
-                        // itself is contention-free.
-                        collected.lock().expect("collector poisoned").extend(local);
-                    });
-                }
-            });
-            worker_panic = panicked.into_inner().expect("panic slot poisoned");
-            for (j, out, tested) in collected.into_inner().expect("collector poisoned") {
-                results[j] = out;
-                tested_total += tested;
-            }
+        for job in jobs {
+            results[job.j] = job.out;
+            tested_total += job.tested;
         }
-        self.rt.stats.queries += jobs.len() as u64;
+        self.rt.stats.queries += count;
         self.rt.stats.objects_tested += tested_total;
-        self.seal_stats
-            .add(crate::SealStats::SEALED_QUERIES, jobs.len() as u64);
+        self.seal_stats.add(crate::SealStats::SEALED_QUERIES, count);
         if obs::enabled() {
-            obs::registry::SEALED_QUERIES_TOTAL.add(jobs.len() as u64);
+            obs::registry::SEALED_QUERIES_TOTAL.add(count);
         }
-        if let Some(msg) = worker_panic {
+        if let Err(p) = outcome {
             // The sealed phase mutates nothing, so the structure is intact
             // — but the batch's results are incomplete, so the engine still
             // refuses to pretend it answered (repair() will revalidate).
-            self.poison(format!("worker panic during sealed batch phase: {msg}"));
+            self.poison(format!(
+                "worker panic during sealed batch phase: {}",
+                p.message
+            ));
         }
     }
 
     /// Parallel remainder of a batch: requires `root.len() >= 2` and
-    /// `threads >= 2`. A worker panic is caught, the partition (slices
-    /// reattached) is returned to the pool so the hierarchy reassembles
-    /// completely, and the engine is poisoned.
+    /// `threads >= 2`. A worker panic is caught by the executor; every
+    /// partition (run, interrupted or never started) still holds its
+    /// slices, so the hierarchy reassembles completely, and the engine is
+    /// poisoned.
     fn run_partitioned(
         &mut self,
         queries: &[Aabb<D>],
@@ -502,7 +445,8 @@ impl<const D: usize> Quasii<D> {
         let extended: Vec<Aabb<D>> = queries.iter().map(|q| self.extend_query(q)).collect();
 
         // Group the top-level slices into contiguous runs of roughly equal
-        // record counts. More runs than workers, so the queue balances load.
+        // record counts. More runs than workers, so the executor's cursor
+        // balances load.
         let target_parts = (threads * CHUNKS_PER_WORKER).min(self.root.len());
         let per_part = self.data.len().div_ceil(target_parts).max(1);
         let roots = std::mem::take(&mut self.root);
@@ -538,7 +482,7 @@ impl<const D: usize> Quasii<D> {
         let mut rest: &mut [Record<D>] = &mut self.data;
         let (mut rest_keys, mut rest_his) = self.keys.as_mut_slices();
         let mut consumed = 0usize;
-        for (index, mut slices) in groups.into_iter().enumerate() {
+        for mut slices in groups {
             let begin = slices[0].begin;
             let end = slices.last().expect("groups are non-empty").end;
             debug_assert_eq!(begin, consumed, "top-level slices must be contiguous");
@@ -553,7 +497,6 @@ impl<const D: usize> Quasii<D> {
                 shift(s, begin, false);
             }
             parts.push(Partition {
-                index,
                 offset: begin,
                 data: window,
                 keys: key_window,
@@ -574,68 +517,39 @@ impl<const D: usize> Quasii<D> {
             p.queries = queries;
         }
 
-        // Chunked work queue: workers pop partitions until none are left.
+        // One executor job per partition. A panic mid-crack may leave that
+        // partition's subtree inconsistent, but the partition object (and
+        // its slices) survives, so repair() can inspect it.
         let env = &self.env;
-        let queue: Mutex<Vec<Partition<'_, D>>> = Mutex::new(parts);
-        let done: Mutex<Vec<Partition<'_, D>>> = Mutex::new(Vec::with_capacity(m));
-        let panicked: Mutex<Option<String>> = Mutex::new(None);
-        let workers = threads.min(m);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if panicked.lock().expect("panic slot poisoned").is_some() {
-                        break; // a sibling already failed the batch
-                    }
-                    let popped = queue.lock().expect("queue poisoned").pop();
-                    let Some(mut p) = popped else { break };
-                    // catch_unwind around the whole partition run: a panic
-                    // mid-crack may leave this partition's subtree
-                    // inconsistent, but the partition object (and its
-                    // slices) survives, so the hierarchy reassembles
-                    // completely and repair() can inspect it.
-                    let r = catch_unwind(AssertUnwindSafe(|| {
-                        let mut rt = engine::Runtime::<D>::new();
-                        for &j in &p.queries {
-                            trap_check(trap, j);
-                            let mut out = Vec::new();
-                            engine::query_level(
-                                p.data,
-                                p.keys,
-                                p.his,
-                                &mut p.slices,
-                                &queries[j],
-                                &extended[j],
-                                env,
-                                &mut rt,
-                                &mut out,
-                            );
-                            p.hits.push(out);
-                        }
-                        p.stats = rt.stats;
-                    }));
-                    done.lock().expect("done poisoned").push(p);
-                    if let Err(payload) = r {
-                        *panicked.lock().expect("panic slot poisoned") =
-                            Some(panic_message(payload));
-                        break;
-                    }
-                });
+        let outcome = exec::for_each_mut(threads, &mut parts, |_, p| {
+            let mut rt = engine::Runtime::<D>::new();
+            for &j in &p.queries {
+                trap_check(trap, j);
+                let mut out = Vec::new();
+                engine::query_level(
+                    p.data,
+                    p.keys,
+                    p.his,
+                    &mut p.slices,
+                    &queries[j],
+                    &extended[j],
+                    env,
+                    &mut rt,
+                    &mut out,
+                );
+                p.hits.push(out);
             }
+            p.stats = rt.stats;
         });
 
         // Reassemble: partitions back in data order, slices rebased to
         // absolute indices, hits concatenated per query in partition order
         // (= ascending data order, the sequential append order), counters
-        // summed. After a worker panic the queue may still hold unstarted
-        // partitions — they reattach too, so the top level is always a
-        // complete partition of the data array.
+        // summed. After a panic, unstarted partitions reattach too, so the
+        // top level is always a complete partition of the data array.
         let span = obs::start_span();
-        let mut finished = done.into_inner().expect("done poisoned");
-        finished.extend(queue.into_inner().expect("queue poisoned"));
-        finished.sort_unstable_by_key(|p| p.index);
-        debug_assert_eq!(finished.len(), m);
         self.rt.stats.queries += queries.len() as u64;
-        for p in &mut finished {
+        for p in &mut parts {
             self.rt.stats.merge(&p.stats);
             for s in &mut p.slices {
                 shift(s, p.offset, true);
@@ -646,9 +560,10 @@ impl<const D: usize> Quasii<D> {
             }
         }
         finish_phase(span, obs::Phase::Merge, queries.len() as u64);
-        if let Some(msg) = panicked.into_inner().expect("panic slot poisoned") {
+        if let Err(p) = outcome {
             self.poison(format!(
-                "worker panic during partitioned crack phase: {msg}"
+                "worker panic during partitioned crack phase: {}",
+                p.message
             ));
         }
     }

@@ -61,11 +61,12 @@ pub struct QuasiiConfig {
     /// Upper bound on recursive artificial (midpoint) splits per slice.
     /// Guards against non-separable value distributions.
     pub max_artificial_depth: usize,
-    /// Worker threads for [`crate::Quasii::execute_batch`]: `0` (the
+    /// Most jobs [`crate::Quasii::execute_batch`] runs at once: `0` (the
     /// default) resolves to [`std::thread::available_parallelism`], `1`
     /// forces the sequential per-query path, `n > 1` runs disjoint
-    /// top-level partitions on `n` scoped workers. Results are bit-for-bit
-    /// identical for every value.
+    /// top-level partitions as up to `n` concurrent [`crate::exec`] jobs
+    /// (fewer when the executor's thread budget is busy). Results are
+    /// bit-for-bit identical for every value.
     pub threads: usize,
     /// Whether converged top-level slices are compacted into **sealed**
     /// arenas answered through the shared-read path (default: `true`; see

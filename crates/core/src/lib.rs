@@ -35,6 +35,7 @@ mod batch;
 mod config;
 pub mod crack;
 mod engine;
+pub mod exec;
 pub mod fence;
 pub mod keys;
 mod persist;
@@ -135,16 +136,15 @@ pub struct Quasii<const D: usize> {
     /// [`seal`]).
     seals: Vec<SealedRegion<D>>,
     /// Structure fingerprint (`slices_created + slices_refined`) at the
-    /// last seal sweep; [`u64::MAX`] forces the next sweep (initial state,
-    /// or a seal was invalidated).
+    /// last seal sweep; [`u64::MAX`] forces the next sweep (initial state).
     seal_stamp: u64,
     /// Seal lifecycle counters ([`SealStats`] cells), held in the shared
     /// registry group type so batch workers and snapshot restore use the
     /// same snapshot/merge idiom as the global metrics.
     seal_stats: obs::CounterGroup<{ SealStats::CELLS }>,
-    /// Cached sum of sealed region lengths (kept in sync by `try_seal` and
-    /// `invalidate_candidates`): the fully-sealed steady state is detected
-    /// with one integer compare per query.
+    /// Cached sum of sealed region lengths (kept in sync by `try_seal`):
+    /// the fully-sealed steady state is detected with one integer compare
+    /// per query.
     sealed_record_count: usize,
     /// Data-space spans whose slices may have newly converged since the
     /// last sweep — every fallback (crack-path) query records its candidate
@@ -156,12 +156,6 @@ pub struct Quasii<const D: usize> {
     seal_dirty: Vec<(usize, usize)>,
     /// Forces the next sweep to recheck every root slice (initial state).
     seal_dirty_all: bool,
-    /// Invalidated arenas, parked for revival: a fallback query spanning a
-    /// sealed region unseals it (conservative lifecycle), but a converged
-    /// subtree can never reorganize, so the arena itself stays valid — the
-    /// next sweep revives it by range match instead of rebuilding, making
-    /// an invalidate → re-seal cycle O(1) instead of O(region).
-    parked: Vec<SealedRegion<D>>,
     /// Set when a batch worker panicked: the hierarchy may be mid-crack
     /// inconsistent, so the engine refuses to answer (structured
     /// [`EnginePoisoned`], never a silent wrong result) until
@@ -206,7 +200,6 @@ impl<const D: usize> Quasii<D> {
             sealed_record_count: 0,
             seal_dirty: Vec::new(),
             seal_dirty_all: true,
-            parked: Vec::new(),
             poisoned: None,
             panic_trap: None,
         }
@@ -464,8 +457,8 @@ impl<const D: usize> Quasii<D> {
         self.try_seal();
     }
 
-    /// Seal lifecycle counters (regions sealed / invalidated, queries
-    /// served fully sealed). Unlike [`stats`](Self::stats) these depend on
+    /// Seal lifecycle counters (regions sealed, queries served fully
+    /// sealed). Unlike [`stats`](Self::stats) these depend on
     /// batching shape — see [`SealStats`].
     pub fn seal_stats(&self) -> SealStats {
         SealStats::from_group(&self.seal_stats)
@@ -492,14 +485,12 @@ impl<const D: usize> Quasii<D> {
         }
     }
 
-    /// Heap bytes held by the sealed arenas (live and parked — an
-    /// invalidated arena stays allocated for O(1) revival).
+    /// Heap bytes held by the sealed arenas.
     pub fn seal_bytes(&self) -> usize {
-        (self.seals.capacity() + self.parked.capacity()) * std::mem::size_of::<SealedRegion<D>>()
+        self.seals.capacity() * std::mem::size_of::<SealedRegion<D>>()
             + self
                 .seals
                 .iter()
-                .chain(&self.parked)
                 .map(SealedRegion::heap_bytes)
                 .sum::<usize>()
     }
@@ -520,34 +511,20 @@ impl<const D: usize> Quasii<D> {
         let span = obs::start_span();
         let seals_before = self.seal_stats.get(SealStats::SEALS);
         let mut kept = std::mem::take(&mut self.seals).into_iter().peekable();
-        let mut parked = std::mem::take(&mut self.parked).into_iter().peekable();
         let mut out: Vec<SealedRegion<D>> = Vec::new();
         for s in &self.root {
             // Sealed root slices are immutable, so an existing seal is
-            // reused whenever its range still matches a root slice, and an
-            // invalidated one is revived from the parked list (counted as a
-            // fresh seal — the observable lifecycle event) instead of
-            // rebuilt. Entries whose range matches no root slice are
-            // dropped by the cursor advance.
+            // reused whenever its range still matches a root slice. Entries
+            // whose range matches no root slice are dropped by the cursor
+            // advance.
             while kept.peek().is_some_and(|r| r.begin < s.begin) {
                 kept.next();
-            }
-            while parked.peek().is_some_and(|r| r.begin < s.begin) {
-                parked.next();
             }
             if kept
                 .peek()
                 .is_some_and(|r| r.begin == s.begin && r.end == s.end)
             {
                 out.push(kept.next().expect("peeked"));
-                continue;
-            }
-            if parked
-                .peek()
-                .is_some_and(|r| r.begin == s.begin && r.end == s.end)
-            {
-                self.seal_stats.inc(SealStats::SEALS);
-                out.push(parked.next().expect("peeked"));
                 continue;
             }
             // Only slices inside a dirty span can have changed convergence
@@ -638,42 +615,18 @@ impl<const D: usize> Quasii<D> {
             .all(|i| self.seal_of(self.root[i].begin, self.root[i].end).is_some())
     }
 
-    /// Invalidates the seals overlapping a fallback query's candidate
-    /// window: the query runs through the `&mut` crack path, and the seal
-    /// lifecycle stays conservative — a region is only ever *read* sealed
-    /// while no fallback execution spans it. (The arena itself could not
-    /// have gone stale — converged subtrees never reorganize — so this
-    /// costs a rebuild at the next sweep, never correctness.)
-    pub(crate) fn invalidate_candidates(&mut self, cand: Range<usize>) {
+    /// Marks a fallback query's candidate window dirty for the next seal
+    /// sweep: the query runs through the `&mut` crack path and can only
+    /// reorganize (and so newly converge) slices inside that window. Seals
+    /// the window overlaps stay in place — a sealed root slice is fully
+    /// converged, so the crack path walks its subtree without modifying it.
+    pub(crate) fn mark_window_dirty(&mut self, cand: Range<usize>) {
         if cand.is_empty() {
             return;
         }
         let lo = self.root[cand.start].begin;
         let hi = self.root[cand.end - 1].end;
-        // The fallback query about to run can only reorganize (and so
-        // newly converge) slices inside its candidate window.
         self.mark_seal_dirty(lo, hi);
-        if self.seals.is_empty() {
-            return;
-        }
-        let (dropped, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.seals)
-            .into_iter()
-            .partition(|r| r.begin < hi && r.end > lo);
-        self.seals = kept;
-        if !dropped.is_empty() {
-            let n = dropped.len() as u64;
-            self.seal_stats.add(SealStats::UNSEALS, n);
-            if obs::enabled() {
-                obs::registry::UNSEALS_TOTAL.add(n);
-            }
-            self.seal_stamp = u64::MAX; // converged-but-unsealed: re-sweep
-            self.sealed_record_count = self.seals.iter().map(SealedRegion::records).sum();
-            // Park the arenas for O(1) revival (both lists are sorted and
-            // disjoint: a region leaves `parked` only by revival, so no
-            // range appears twice).
-            self.parked.extend(dropped);
-            self.parked.sort_unstable_by_key(|r| r.begin);
-        }
     }
 
     /// Answers a query known to fall entirely within sealed regions,
@@ -734,7 +687,7 @@ impl<const D: usize> Quasii<D> {
 
     /// The adaptive `&mut` path: Algorithm 1 over the slice tree, cracking
     /// as it goes. The caller has already handled seal classification and
-    /// invalidation (or there are no seals to consider).
+    /// dirty marking (or there are no seals to consider).
     pub(crate) fn query_unsealed(&mut self, query: &Aabb<D>, qe: &Aabb<D>, out: &mut Vec<u64>) {
         self.rt.stats.queries += 1;
         let (keys, his) = self.keys.as_mut_slices();
@@ -824,7 +777,7 @@ impl<const D: usize> SpatialIndex<D> for Quasii<D> {
                 self.rt.stats.objects_tested += tested;
                 return;
             }
-            self.invalidate_candidates(cand);
+            self.mark_window_dirty(cand);
         }
         let before = self.rt.stats;
         self.query_unsealed(query, &qe, out);

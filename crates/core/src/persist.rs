@@ -345,12 +345,9 @@ pub(crate) fn write<const D: usize>(idx: &mut Quasii<D>) -> Result<Vec<u8>, Snap
             "a poisoned engine (a worker panicked mid-batch; call repair() first)",
         ));
     }
-    // Initialize and sweep first: a snapshot captures the post-sweep state
-    // (notably, `try_seal` always drains the parked list, so parked arenas
-    // never need a serialized form).
+    // Initialize and sweep first: a snapshot captures the post-sweep state.
     idx.ensure_init();
     idx.try_seal();
-    debug_assert!(idx.parked.is_empty(), "try_seal drains the parked list");
 
     let n = idx.data.len();
     // Records + key columns + region blobs dominate; headers, the slice
@@ -807,7 +804,6 @@ pub(crate) fn load<const D: usize>(bytes: Vec<u8>) -> Result<Quasii<D>, Snapshot
         sealed_record_count,
         seal_dirty,
         seal_dirty_all,
-        parked: Vec::new(),
         poisoned: None,
         panic_trap: None,
     })

@@ -58,8 +58,18 @@
 //! crack on. The slice tree stays in place as the source of truth (cracking
 //! a region is impossible once converged, but the tree still serves
 //! `validate`, `level_profile`, introspection and the fallback `&mut`
-//! path); invalidating a seal parks the arena for O(1) revival at the next
-//! sweep — a converged subtree can never go stale.
+//! path).
+//!
+//! # Lifecycle
+//!
+//! A region is built once, by the seal sweep that first finds its root
+//! slice converged, and then **kept for the life of the engine**. A query
+//! that falls back to the crack path because some *other* candidate slice
+//! is unconverged may walk a sealed subtree through the slice tree, but a
+//! converged subtree has nothing left to crack, so the walk changes
+//! nothing and the arena can never go stale. Such a query only marks its
+//! window dirty, so the next sweep checks the slices it may have
+//! converged; nothing is ever unsealed (`SealStats::unseals` stays `0`).
 //!
 //! [`SealedRegion::run`] reproduces, operation for operation, the traversal
 //! the engine's `query_level`/`descend` would perform over the same

@@ -59,16 +59,18 @@ impl QuasiiStats {
 /// Kept **separate** from [`QuasiiStats`] on purpose: the deterministic
 /// work counters are bit-for-bit identical across thread counts, batch
 /// sizes and shard layouts, while seal lifecycle events depend on *when*
-/// sweeps run — one big batch seals once where three chained batches may
-/// seal, invalidate and re-seal. Comparing `QuasiiStats` across execution
-/// shapes stays meaningful; seal counters are observability, not part of
-/// the determinism contract.
+/// sweeps run — a region that converges mid-batch seals at the next sweep,
+/// which a smaller batch reaches sooner. Comparing `QuasiiStats` across
+/// execution shapes stays meaningful; seal counters are observability, not
+/// part of the determinism contract.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SealStats {
-    /// Regions compacted into sealed arenas (re-seals count again).
+    /// Regions compacted into sealed arenas.
     pub seals: u64,
-    /// Seals invalidated because a query fell back to the crack path over
-    /// a range overlapping them.
+    /// Seals dropped again. Seals are kept for the life of the engine (see
+    /// `crate::seal`), so this engine never counts one; the cell stays in
+    /// the snapshot format and the metrics contract, and a snapshot written
+    /// by an older build may carry a nonzero value.
     pub unseals: u64,
     /// Queries answered entirely through sealed regions (no `&mut` state
     /// touched beyond counters).
@@ -78,8 +80,8 @@ pub struct SealStats {
 impl SealStats {
     /// Cell order inside the engine's [`quasii_obs::CounterGroup`] backing
     /// store (the snapshot/merge idiom shared with the shard router).
+    /// (Cell 1 is `unseals`, which no engine code increments.)
     pub(crate) const SEALS: usize = 0;
-    pub(crate) const UNSEALS: usize = 1;
     pub(crate) const SEALED_QUERIES: usize = 2;
     pub(crate) const CELLS: usize = 3;
 

@@ -19,12 +19,15 @@
 //!   query-extension rule the engine itself applies, using the *global*
 //!   maximum object extent so no shard holding a qualifying record is ever
 //!   skipped).
-//! * **Two-level parallelism** — a batch executes shards on scoped worker
-//!   threads ([`ShardConfig::shard_threads`]), and each shard runs its
+//! * **Two-level parallelism, one thread budget** — a batch runs its shards
+//!   as jobs on the process-wide [`quasii::exec`] executor, up to
+//!   [`ShardConfig::shard_threads`] at a time, and each shard runs its
 //!   assigned sub-batch through [`Quasii::execute_batch`], which itself
-//!   cracks disjoint top-level partitions on
-//!   [`QuasiiConfig::threads`] workers: total concurrency is
-//!   `shard_threads × threads`.
+//!   cracks disjoint top-level partitions as executor jobs, up to
+//!   [`QuasiiConfig::threads`] at a time. Both levels hire from the same
+//!   parked workers, so total concurrency never exceeds
+//!   [`quasii::exec::budget`] (the host's parallelism), whatever the two
+//!   knobs say.
 //!
 //! ## Determinism
 //!
@@ -79,21 +82,22 @@
 
 #![warn(missing_docs)]
 
+mod merge;
 pub mod recovery;
 
+pub use merge::{sort_canonical, RADIX_MIN};
 pub use recovery::{Coverage, DegradedQuasii, Recovery, RecoveryReport, ShardHealth, ShardStatus};
 
 use quasii::crack::key_of;
 use quasii::snapshot::{fnv1a, SnapshotError};
 use quasii::{
-    AssignBy, EnginePoisoned, KeyFences, Quasii, QuasiiConfig, QuasiiStats, RepairOutcome,
+    exec, AssignBy, EnginePoisoned, KeyFences, Quasii, QuasiiConfig, QuasiiStats, RepairOutcome,
 };
 use quasii_common::fsx::{self, SnapshotStore};
 use quasii_common::geom::{Aabb, Record};
 use quasii_common::index::SpatialIndex;
 use quasii_obs as obs;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// First 8 bytes of every shard-deployment manifest.
 pub const MANIFEST_MAGIC: [u8; 8] = *b"QSIISHRD";
@@ -113,10 +117,11 @@ pub struct ShardConfig {
     /// than requested (never more) — every planned shard owns a
     /// non-degenerate key range instead of sitting permanently empty.
     pub shards: usize,
-    /// Concurrent shard workers for [`ShardedQuasii::execute_batch`]:
-    /// `0` (the default) resolves to
-    /// [`std::thread::available_parallelism`], `1` executes shards
-    /// sequentially in shard order. Results are identical for every value.
+    /// Most shards [`ShardedQuasii::execute_batch`] runs at once: `0` (the
+    /// default) resolves to [`std::thread::available_parallelism`], `1`
+    /// executes shards sequentially in shard order. The executor's thread
+    /// budget caps it further (see the crate docs). Results are identical
+    /// for every value.
     pub shard_threads: usize,
     /// Upper bound on the number of keys the boundary planner samples
     /// (stride-subsampled deterministically, no RNG).
@@ -256,7 +261,8 @@ struct Task<'a, const D: usize> {
     queries: Vec<usize>,
     hits: Vec<Vec<u64>>,
     /// Worker-panic detail: set when the shard's engine poisoned itself (or
-    /// the routing glue itself panicked) while running this task.
+    /// the routing glue itself panicked, caught by the executor) while
+    /// running this task.
     error: Option<String>,
 }
 
@@ -382,9 +388,11 @@ impl<const D: usize> ShardedQuasii<D> {
             .collect()
     }
 
-    /// The shard-worker count [`execute_batch`](Self::execute_batch) will
-    /// use: the [`shard_threads`](ShardConfig::shard_threads) knob, with
-    /// `0` resolved to [`std::thread::available_parallelism`].
+    /// The most shard jobs [`execute_batch`](Self::execute_batch) asks
+    /// the executor to run at once: the
+    /// [`shard_threads`](ShardConfig::shard_threads) knob, with `0`
+    /// resolved to [`std::thread::available_parallelism`] (the executor's
+    /// thread budget may grant fewer).
     pub fn effective_shard_threads(&self) -> usize {
         match self.cfg.shard_threads {
             0 => std::thread::available_parallelism()
@@ -622,11 +630,10 @@ impl<const D: usize> ShardedQuasii<D> {
     }
 
     /// Shared tail of both load paths: verify each shard buffer against the
-    /// manifest table, revive the engines — **in parallel**, one scoped
-    /// worker per shard up to the host's parallelism — and rebuild the
-    /// router around them. Per-shard failures are collected and the first
-    /// one *in shard order* is returned, so the error is deterministic for
-    /// every worker count.
+    /// manifest table, revive the engines — **in parallel**, one executor
+    /// job per shard — and rebuild the router around them. Per-shard
+    /// failures are collected and the first one *in shard order* is
+    /// returned, so the error is deterministic for every worker count.
     fn assemble(m: Manifest, shard_bufs: Vec<Vec<u8>>) -> Result<Self, SnapshotError> {
         if shard_bufs.len() != m.shards.len() {
             return Err(corrupt(format!(
@@ -639,45 +646,34 @@ impl<const D: usize> ShardedQuasii<D> {
         fences
             .validate()
             .map_err(|e| corrupt(format!("fences: {e}")))?;
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(shard_bufs.len());
-        let loaded: Vec<Result<Quasii<D>, SnapshotError>> = if workers <= 1 {
-            m.shards
-                .iter()
-                .zip(shard_bufs)
-                .enumerate()
-                .map(|(k, (&entry, buf))| load_shard(k, entry, buf))
-                .collect()
-        } else {
-            type LoadJob = (usize, (usize, usize, u64), Vec<u8>);
-            let jobs: Vec<LoadJob> = m
-                .shards
-                .iter()
-                .zip(shard_bufs)
-                .enumerate()
-                .map(|(k, (&entry, buf))| (k, entry, buf))
-                .collect();
-            let queue = Mutex::new(jobs);
-            let slots: Vec<Mutex<Option<Result<Quasii<D>, SnapshotError>>>> =
-                (0..m.shards.len()).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let popped = queue.lock().expect("queue poisoned").pop();
-                        let Some((k, entry, buf)) = popped else { break };
-                        let r = load_shard(k, entry, buf);
-                        *slots[k].lock().expect("slot poisoned") = Some(r);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.into_inner().expect("slot poisoned").expect("job ran"))
-                .collect()
-        };
-        let mut engines: Vec<Quasii<D>> = Vec::with_capacity(loaded.len());
+        struct LoadJob<const D: usize> {
+            entry: (usize, usize, u64),
+            buf: Vec<u8>,
+            loaded: Option<Result<Quasii<D>, SnapshotError>>,
+        }
+        let mut jobs: Vec<LoadJob<D>> = m
+            .shards
+            .iter()
+            .zip(shard_bufs)
+            .map(|(&entry, buf)| LoadJob {
+                entry,
+                buf,
+                loaded: None,
+            })
+            .collect();
+        let outcome = exec::for_each_mut(exec::budget(), &mut jobs, |k, job| {
+            job.loaded = Some(load_shard(k, job.entry, std::mem::take(&mut job.buf)));
+        });
+        if let Err(p) = outcome {
+            return Err(corrupt(format!(
+                "shard {}: loader panicked: {}",
+                p.index, p.message
+            )));
+        }
+        let loaded = jobs
+            .into_iter()
+            .map(|j| j.loaded.expect("every load job ran"));
+        let mut engines: Vec<Quasii<D>> = Vec::with_capacity(m.shards.len());
         for r in loaded {
             engines.push(r?);
         }
@@ -778,9 +774,9 @@ impl<const D: usize> ShardedQuasii<D> {
         (query.lo[0] - self.ext_low0, query.hi[0] + self.ext_high0)
     }
 
-    /// Executes a batch of range queries across the shards — shards on
-    /// scoped worker threads, each shard's sub-batch through the engine's
-    /// own batch-parallel path — and returns one id vector per query (in
+    /// Executes a batch of range queries across the shards — shards as
+    /// executor jobs, each shard's sub-batch through the engine's own
+    /// batch-parallel path — and returns one id vector per query (in
     /// `queries` order, each in canonical ascending-id order).
     ///
     /// Results are byte-identical for every (shard count, shard-thread
@@ -880,54 +876,25 @@ impl<const D: usize> ShardedQuasii<D> {
             }
         }
 
-        fn run_task<const D: usize>(t: &mut Task<'_, D>, queries: &[Aabb<D>]) {
+        // Shard jobs on the executor; every shard engine is an independent
+        // `&mut`. The engine reports its own worker panics as `Err`; a panic
+        // in this glue is caught by the executor and booked on its task.
+        let outcome = exec::for_each_mut(workers_cap, &mut tasks, |_, t| {
             let sub: Vec<Aabb<D>> = t.queries.iter().map(|&j| queries[j]).collect();
-            let engine = &mut *t.engine;
-            // The engine catches its own query-worker panics; this guard
-            // additionally contains panics from the routing glue so a
-            // sibling shard's thread never unwinds through the scope.
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                engine.try_execute_batch(&sub)
-            }));
-            match run {
-                Ok(Ok(hits)) => t.hits = hits,
-                Ok(Err(e)) => t.error = Some(e.detail),
-                Err(payload) => t.error = Some(panic_message(payload)),
+            match t.engine.try_execute_batch(&sub) {
+                Ok(hits) => t.hits = hits,
+                Err(e) => t.error = Some(e.detail),
             }
+        });
+        if let Err(p) = outcome {
+            tasks[p.index].error.get_or_insert(p.message);
         }
 
-        let workers = workers_cap.min(tasks.len());
-        let finished = if workers <= 1 {
-            // Sequential path: shards in ascending order, no thread setup.
-            for t in &mut tasks {
-                run_task(t, queries);
-            }
-            tasks
-        } else {
-            // Work queue over the shards; every shard engine is an
-            // independent `&mut`, so workers never contend beyond the pop.
-            let queue: Mutex<Vec<Task<'_, D>>> = Mutex::new(tasks);
-            let done: Mutex<Vec<Task<'_, D>>> = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let popped = queue.lock().expect("queue poisoned").pop();
-                        let Some(mut t) = popped else { break };
-                        run_task(&mut t, queries);
-                        done.lock().expect("done poisoned").push(t);
-                    });
-                }
-            });
-            let mut v = done.into_inner().expect("done poisoned");
-            v.sort_unstable_by_key(|t| t.shard);
-            v
-        };
-
         // A worker panic anywhere poisons the whole deployment: partial
-        // results would be silently wrong. `finished` is in shard order, so
+        // results would be silently wrong. `tasks` is in shard order, so
         // the reported failure is the first failing shard regardless of
         // which worker hit it first.
-        if let Some(t) = finished.iter().find(|t| t.error.is_some()) {
+        if let Some(t) = tasks.iter().find(|t| t.error.is_some()) {
             let detail = format!(
                 "shard {}: {}",
                 t.shard,
@@ -942,13 +909,18 @@ impl<const D: usize> ShardedQuasii<D> {
         // Merge hits per query in shard order (deterministic), then
         // canonicalize: shards are disjoint, so this is a duplicate-free
         // union sorted by id.
-        for t in finished {
+        for t in tasks {
             for (&j, hits) in t.queries.iter().zip(t.hits) {
-                results[j].extend(hits);
+                if results[j].is_empty() {
+                    results[j] = hits;
+                } else {
+                    results[j].extend(hits);
+                }
             }
         }
+        let mut scratch = Vec::new();
         for r in &mut results {
-            r.sort_unstable();
+            sort_canonical(r, &mut scratch);
         }
         self.publish_shard_gauges();
         Ok(results)
@@ -1024,17 +996,6 @@ pub fn manifest_summary(bytes: &[u8]) -> Result<ManifestSummary, SnapshotError> 
         shard_bytes: m.shards.iter().map(|&(_, l, _)| l).sum(),
         shards: m.shards,
     })
-}
-
-/// Extracts the human-readable message from a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Manifest encoding of [`AssignBy`] (mirrors the engine snapshot's).
@@ -1305,7 +1266,7 @@ impl<const D: usize> SpatialIndex<D> for ShardedQuasii<D> {
         for k in range {
             self.shards[k].query(query, &mut hits);
         }
-        hits.sort_unstable();
+        sort_canonical(&mut hits, &mut Vec::new());
         out.extend(hits);
     }
 

@@ -235,3 +235,45 @@ fn sharded_index_works_through_the_trait() {
     assert_eq!(idx.len(), 2_000);
     assert_eq!(idx.name(), "QUASII-sharded");
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The router's canonical merge (`sort_unstable` below
+    /// `RADIX_MIN` ids, LSD radix above) equals `sort_unstable` for every
+    /// length 0–4096, with duplicates, ids above 2³² and `u64::MAX`.
+    #[test]
+    fn canonical_merge_equals_sort_unstable(
+        raw in prop::collection::vec(0u64..=u64::MAX, 0..4097),
+        class in 0u8..4,
+    ) {
+        let n = raw.len() as u64;
+        let ids: Vec<u64> = raw
+            .iter()
+            .map(|&x| match class {
+                0 => x % (n / 2 + 1),                        // dense, duplicated
+                1 => (1 << 32) + x % (1 << 24),              // just above 2^32
+                2 => if x % 5 == 0 { u64::MAX } else { x },  // full width
+                _ => x >> (x % 64),                          // mixed magnitudes
+            })
+            .collect();
+        let mut want = ids.clone();
+        want.sort_unstable();
+        let mut got = ids;
+        quasii_shard::sort_canonical(&mut got, &mut Vec::new());
+        prop_assert_eq!(got, want);
+    }
+}
+
+/// Every length on both sides of the radix threshold, ids shuffled.
+#[test]
+fn canonical_merge_around_the_threshold() {
+    let mut scratch = Vec::new();
+    let t = quasii_shard::RADIX_MIN;
+    for len in t - 3..=t + 3 {
+        let ids: Vec<u64> = (0..len as u64).map(|i| (i * 7919) % len as u64).collect();
+        let mut got = ids.clone();
+        quasii_shard::sort_canonical(&mut got, &mut scratch);
+        assert_eq!(got, (0..len as u64).collect::<Vec<_>>(), "len {len}");
+    }
+}
