@@ -3,11 +3,8 @@
 //! interval decomposition (SFC/SFCracker), and STR tiling (R-Tree build).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use quasii::crack::reference::{crack_three, crack_three_measured, crack_two, crack_two_measured};
-use quasii::crack::{
-    crack_three_keyed, crack_three_keyed_measured, crack_two_keyed, crack_two_keyed_measured,
-    key_of, DimBounds,
-};
+use quasii::crack::reference::{crack_three, crack_two};
+use quasii::crack::{crack_three_keyed_measured, crack_two_keyed_measured, key_of, DimBounds};
 use quasii::{AssignBy, Quasii, QuasiiConfig, SimdLevel, SimdPolicy};
 use quasii_common::dataset::uniform_boxes_in;
 use quasii_common::geom::{Aabb, Record};
@@ -15,12 +12,6 @@ use quasii_common::index::SpatialIndex;
 use quasii_rtree::str_pack::str_tile;
 use quasii_sfc::ZGrid;
 use std::hint::black_box;
-
-/// The scalar kernel generation (PR 4's keyed kernels, kept as the oracle):
-/// the `*_keyed` benches below are pinned to it so their names keep meaning
-/// the same kernels across bench files; the `crack_1m_simd` group compares
-/// it against the host's best vector generation.
-const SCALAR: SimdLevel = SimdLevel::Scalar;
 
 /// Builds the narrow column pair the keyed kernels crack (assignment keys +
 /// crack-dimension upper bounds). Cloned per iteration together with the
@@ -33,134 +24,159 @@ fn columns_of(data: &[Record<3>], mode: AssignBy) -> (Vec<f64>, Vec<f64>) {
     )
 }
 
-/// Keyed (key-column) vs record-streaming partition kernels at 100k —
-/// small enough that the whole segment is cache-warm after the clone, so
-/// this group isolates the scan/compute savings from the memory savings.
+/// Generation 1, two-way: record-streaming partition, then one
+/// `DimBounds::of` measuring pass per output segment.
+fn two_way_split_passes(
+    d: &mut [Record<3>],
+    mode: AssignBy,
+    pivot: f64,
+) -> (usize, [DimBounds; 2]) {
+    let p = crack_two(d, 0, mode, pivot);
+    let left = DimBounds::of(&d[..p], 0, mode);
+    let right = DimBounds::of(&d[p..], 0, mode);
+    (p, [left, right])
+}
+
+/// Generation 1, three-way: record-streaming Dutch flag, then one
+/// `DimBounds::of` measuring pass per output segment.
+fn three_way_split_passes(
+    d: &mut [Record<3>],
+    mode: AssignBy,
+    low: f64,
+    high: f64,
+) -> (usize, usize, [DimBounds; 3]) {
+    let (p1, p2) = crack_three(d, 0, mode, low, high);
+    let lo = DimBounds::of(&d[..p1], 0, mode);
+    let mid = DimBounds::of(&d[p1..p2], 0, mode);
+    let hi = DimBounds::of(&d[p2..], 0, mode);
+    (p1, p2, [lo, mid, hi])
+}
+
+/// Registers the split-pass vs keyed two-way pair under `{name}` suffixes.
+fn two_way_pair(
+    g: &mut criterion::BenchmarkGroup<'_>,
+    data: &[Record<3>],
+    cols: &(Vec<f64>, Vec<f64>),
+    mode: AssignBy,
+    pivot: f64,
+    split_name: &str,
+    keyed_name: &str,
+) {
+    g.bench_function(split_name, |b| {
+        b.iter_batched_ref(
+            || data.to_vec(),
+            |d| black_box(two_way_split_passes(d, mode, pivot)),
+            BatchSize::LargeInput,
+        )
+    });
+    g.bench_function(keyed_name, |b| {
+        b.iter_batched_ref(
+            || (cols.0.clone(), cols.1.clone(), data.to_vec()),
+            |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, mode, pivot)),
+            BatchSize::LargeInput,
+        )
+    });
+}
+
+/// Registers the split-pass vs keyed three-way pair under `{name}` suffixes.
+fn three_way_pair(
+    g: &mut criterion::BenchmarkGroup<'_>,
+    data: &[Record<3>],
+    cols: &(Vec<f64>, Vec<f64>),
+    mode: AssignBy,
+    (low, high): (f64, f64),
+    split_name: &str,
+    keyed_name: &str,
+) {
+    g.bench_function(split_name, |b| {
+        b.iter_batched_ref(
+            || data.to_vec(),
+            |d| black_box(three_way_split_passes(d, mode, low, high)),
+            BatchSize::LargeInput,
+        )
+    });
+    g.bench_function(keyed_name, |b| {
+        b.iter_batched_ref(
+            || (cols.0.clone(), cols.1.clone(), data.to_vec()),
+            |(k, h, d)| black_box(crack_three_keyed_measured(k, h, d, 0, mode, low, high)),
+            BatchSize::LargeInput,
+        )
+    });
+}
+
+/// Keyed vs record-streaming split-pass kernels at 100k — small enough
+/// that the whole segment is cache-warm after the clone, so this group
+/// isolates the scan/compute savings from the memory savings.
 fn bench_cracks(c: &mut Criterion) {
     const MODE: AssignBy = AssignBy::Lower;
     let data = uniform_boxes_in::<3>(100_000, 10_000.0, 1);
-    let (keys, his) = columns_of(&data, MODE);
+    let cols = columns_of(&data, MODE);
     let mut g = c.benchmark_group("crack");
-    g.bench_function("two_way_100k", |b| {
-        b.iter_batched_ref(
-            || data.clone(),
-            |d| black_box(crack_two(d, 0, MODE, 5_000.0)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("two_way_keyed_100k", |b| {
-        b.iter_batched_ref(
-            || (keys.clone(), his.clone(), data.clone()),
-            |(k, h, d)| black_box(crack_two_keyed(k, h, d, 5_000.0)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("three_way_100k", |b| {
-        b.iter_batched_ref(
-            || data.clone(),
-            |d| black_box(crack_three(d, 0, MODE, 3_000.0, 7_000.0)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("three_way_keyed_100k", |b| {
-        b.iter_batched_ref(
-            || (keys.clone(), his.clone(), data.clone()),
-            |(k, h, d)| black_box(crack_three_keyed(k, h, d, 3_000.0, 7_000.0, SCALAR)),
-            BatchSize::LargeInput,
-        )
-    });
+    two_way_pair(
+        &mut g,
+        &data,
+        &cols,
+        MODE,
+        5_000.0,
+        "two_way_100k",
+        "two_way_keyed_100k",
+    );
+    three_way_pair(
+        &mut g,
+        &data,
+        &cols,
+        MODE,
+        (3_000.0, 7_000.0),
+        "three_way_100k",
+        "three_way_keyed_100k",
+    );
     g.finish();
 }
 
-/// The three kernel generations on the engine's hot-path operation (crack +
-/// measure what `make_sub` consumes) at 1M records: "split passes" is the
-/// original partition-then-measure scheme, "fused" the PR 2 single-pass
-/// record-streaming kernels (full `SegMeasure` folds of every record),
-/// "keyed" the current engine kernels — narrow-column scans measuring the
-/// crack-dimension bounds, records touched only to swap misplaced pairs
-/// (both 1M output segments stay above τ, so `DimBounds` is exactly what
-/// the engine consumes for them; at-most-τ segments additionally get a
-/// small cache-resident exact-MBB scan in `make_sub`).
+/// The engine's hot-path operation (crack + measure what `make_sub`
+/// consumes) at 1M records, generation 1 vs the keyed kernels: "split
+/// passes" is the original partition-then-measure scheme, "keyed" the
+/// engine kernels — narrow-column scans measuring the crack-dimension
+/// bounds, records touched only to swap misplaced pairs (both 1M output
+/// segments stay above τ, so `DimBounds` is exactly what the engine
+/// consumes for them; at-most-τ segments additionally get a small
+/// cache-resident exact-MBB scan in `make_sub`).
 ///
 /// Two pivot selectivities: the median pivot maximizes misplaced pairs
 /// (≈50% of records must physically move — the keyed kernels' worst case),
 /// the 10%-quantile pivot is closer to the engine's converged regime.
-fn bench_fused_cracks(c: &mut Criterion) {
+fn bench_cracks_1m(c: &mut Criterion) {
     const MODE: AssignBy = AssignBy::Lower;
     let data = uniform_boxes_in::<3>(1_000_000, 10_000.0, 4);
-    let (keys, his) = columns_of(&data, MODE);
+    let cols = columns_of(&data, MODE);
     let mut g = c.benchmark_group("crack_1m");
-    g.bench_function("two_way_split_passes", |b| {
-        b.iter_batched_ref(
-            || data.clone(),
-            |d| {
-                let p = crack_two(d, 0, MODE, 5_000.0);
-                let lo = DimBounds::of(&d[..p], 0, MODE);
-                let hi = DimBounds::of(&d[p..], 0, MODE);
-                black_box((p, lo, hi))
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("two_way_fused", |b| {
-        b.iter_batched_ref(
-            || data.clone(),
-            |d| black_box(crack_two_measured(d, 0, MODE, 5_000.0)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("two_way_keyed", |b| {
-        b.iter_batched_ref(
-            || (keys.clone(), his.clone(), data.clone()),
-            |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, MODE, 5_000.0, SCALAR)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("two_way_fused_skewed_pivot", |b| {
-        b.iter_batched_ref(
-            || data.clone(),
-            |d| black_box(crack_two_measured(d, 0, MODE, 1_000.0)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("two_way_keyed_skewed_pivot", |b| {
-        b.iter_batched_ref(
-            || (keys.clone(), his.clone(), data.clone()),
-            |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, MODE, 1_000.0, SCALAR)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("three_way_split_passes", |b| {
-        b.iter_batched_ref(
-            || data.clone(),
-            |d| {
-                let (p1, p2) = crack_three(d, 0, MODE, 3_000.0, 7_000.0);
-                let lo = DimBounds::of(&d[..p1], 0, MODE);
-                let mid = DimBounds::of(&d[p1..p2], 0, MODE);
-                let hi = DimBounds::of(&d[p2..], 0, MODE);
-                black_box((p1, p2, lo, mid, hi))
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("three_way_fused", |b| {
-        b.iter_batched_ref(
-            || data.clone(),
-            |d| black_box(crack_three_measured(d, 0, MODE, 3_000.0, 7_000.0)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("three_way_keyed", |b| {
-        b.iter_batched_ref(
-            || (keys.clone(), his.clone(), data.clone()),
-            |(k, h, d)| {
-                black_box(crack_three_keyed_measured(
-                    k, h, d, 0, MODE, 3_000.0, 7_000.0, SCALAR,
-                ))
-            },
-            BatchSize::LargeInput,
-        )
-    });
+    two_way_pair(
+        &mut g,
+        &data,
+        &cols,
+        MODE,
+        5_000.0,
+        "two_way_split_passes",
+        "two_way_keyed",
+    );
+    two_way_pair(
+        &mut g,
+        &data,
+        &cols,
+        MODE,
+        1_000.0,
+        "two_way_split_passes_skewed_pivot",
+        "two_way_keyed_skewed_pivot",
+    );
+    three_way_pair(
+        &mut g,
+        &data,
+        &cols,
+        MODE,
+        (3_000.0, 7_000.0),
+        "three_way_split_passes",
+        "three_way_keyed",
+    );
     g.finish();
 }
 
@@ -171,100 +187,17 @@ fn bench_fused_cracks(c: &mut Criterion) {
 fn bench_center_mode_cracks(c: &mut Criterion) {
     const MODE: AssignBy = AssignBy::Center;
     let data = uniform_boxes_in::<3>(1_000_000, 10_000.0, 4);
-    let (keys, his) = columns_of(&data, MODE);
+    let cols = columns_of(&data, MODE);
     let mut g = c.benchmark_group("crack_1m_center");
-    g.bench_function("two_way_fused", |b| {
-        b.iter_batched_ref(
-            || data.clone(),
-            |d| black_box(crack_two_measured(d, 0, MODE, 5_000.0)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("two_way_keyed", |b| {
-        b.iter_batched_ref(
-            || (keys.clone(), his.clone(), data.clone()),
-            |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, MODE, 5_000.0, SCALAR)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.finish();
-}
-
-/// The PR 9 kernel generation: scalar keyed vs the host's best vector
-/// generation (`SimdLevel::detect()`, AVX2 on this machine) on the same
-/// 1M-record operations as `crack_1m`. Both sides produce bit-identical
-/// partitions and measurements — only the classify/fast-forward/fold
-/// machinery differs.
-fn bench_simd_cracks(c: &mut Criterion) {
-    const MODE: AssignBy = AssignBy::Lower;
-    let vector = SimdLevel::detect();
-    let data = uniform_boxes_in::<3>(1_000_000, 10_000.0, 4);
-    let (keys, his) = columns_of(&data, MODE);
-    let mut g = c.benchmark_group("crack_1m_simd");
-    for (name, level) in [("scalar", SimdLevel::Scalar), ("vector", vector)] {
-        g.bench_function(&format!("two_way_{name}"), |b| {
-            b.iter_batched_ref(
-                || (keys.clone(), his.clone(), data.clone()),
-                |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, MODE, 5_000.0, level)),
-                BatchSize::LargeInput,
-            )
-        });
-        g.bench_function(&format!("two_way_{name}_skewed_pivot"), |b| {
-            b.iter_batched_ref(
-                || (keys.clone(), his.clone(), data.clone()),
-                |(k, h, d)| black_box(crack_two_keyed_measured(k, h, d, 0, MODE, 1_000.0, level)),
-                BatchSize::LargeInput,
-            )
-        });
-        g.bench_function(&format!("three_way_{name}"), |b| {
-            b.iter_batched_ref(
-                || (keys.clone(), his.clone(), data.clone()),
-                |(k, h, d)| {
-                    black_box(crack_three_keyed_measured(
-                        k, h, d, 0, MODE, 3_000.0, 7_000.0, level,
-                    ))
-                },
-                BatchSize::LargeInput,
-            )
-        });
-        // Wide range: ~98 % middle class, mean middle-run length ~50 — the
-        // long-run regime (converging segments) the vector middle
-        // fast-forward targets; the [30 %, 70 %] case above has runs of
-        // ~1.7 where the kernels stay scalar-side by design.
-        g.bench_function(&format!("three_way_{name}_wide_middle"), |b| {
-            b.iter_batched_ref(
-                || (keys.clone(), his.clone(), data.clone()),
-                |(k, h, d)| {
-                    black_box(crack_three_keyed_measured(
-                        k, h, d, 0, MODE, 100.0, 9_900.0, level,
-                    ))
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
-    // Center assignment folds record lows on top of the column scan — the
-    // chunked kernel's worst case for the extra classified sweep.
-    let (ckeys, chis) = columns_of(&data, AssignBy::Center);
-    for (name, level) in [("scalar", SimdLevel::Scalar), ("vector", vector)] {
-        g.bench_function(&format!("two_way_center_{name}"), |b| {
-            b.iter_batched_ref(
-                || (ckeys.clone(), chis.clone(), data.clone()),
-                |(k, h, d)| {
-                    black_box(crack_two_keyed_measured(
-                        k,
-                        h,
-                        d,
-                        0,
-                        AssignBy::Center,
-                        5_000.0,
-                        level,
-                    ))
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
+    two_way_pair(
+        &mut g,
+        &data,
+        &cols,
+        MODE,
+        5_000.0,
+        "two_way_split_passes",
+        "two_way_keyed",
+    );
     g.finish();
 }
 
@@ -387,7 +320,6 @@ fn bench_str(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(10);
-    targets = bench_cracks, bench_fused_cracks, bench_center_mode_cracks, bench_simd_cracks,
-        bench_simd_scan_kernels, bench_simd_sealed_reads, bench_zorder, bench_str
+    targets = bench_cracks, bench_cracks_1m, bench_center_mode_cracks, bench_simd_scan_kernels, bench_simd_sealed_reads, bench_zorder, bench_str
 }
 criterion_main!(kernels);

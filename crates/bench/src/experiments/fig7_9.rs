@@ -1,7 +1,7 @@
 //! Figures 7, 8 and 9 — the core incremental-vs-static story (§6.3, §6.4).
 //! All three figures analyze the *same* execution: the clustered
 //! neuroscience workload over every approach, cached in
-//! [`super::Harness::neuro_run`].
+//! [`super::Harness::neuro`].
 //!
 //! * Fig. 7 — per-query convergence, grouped (a) one-dimensional
 //!   (SFC/SFCracker), (b) space-oriented (Grid/Mosaic), (c) data-oriented

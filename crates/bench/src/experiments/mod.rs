@@ -107,7 +107,7 @@ pub struct NeuroRun {
     pub data: Vec<Record<3>>,
     /// The query sequence.
     pub queries: Vec<Aabb<3>>,
-    /// One series per approach, in [`NEURO_APPROACHES`] order.
+    /// One series per approach, in [`neuro_approaches`] order.
     pub series: Vec<RunSeries>,
     /// Grid partitions/dimension used for the Grid baseline.
     pub grid_parts: usize,

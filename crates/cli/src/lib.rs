@@ -189,22 +189,6 @@ where
         .map_err(|e| format!("--{flag}: cannot parse '{value}': {e}"))
 }
 
-/// Parses and validates a `--simd` value: unknown spellings and ISAs the
-/// host cannot run (a forced level the dispatcher would clamp down) are
-/// both flag errors, so a forced run never silently degrades.
-fn parse_simd(value: &str) -> Result<quasii::SimdPolicy, String> {
-    let policy = quasii::SimdPolicy::parse(value)
-        .ok_or_else(|| format!("unknown --simd '{value}' (auto|scalar|sse2|avx2)"))?;
-    if policy != quasii::SimdPolicy::Auto && policy.resolve().name() != policy.name() {
-        return Err(format!(
-            "--simd {}: not supported on this host (best available: {})",
-            policy.name(),
-            quasii::SimdLevel::detect().name()
-        ));
-    }
-    Ok(policy)
-}
-
 /// One line naming the kernel generation a QUASII run dispatches to.
 fn report_simd(policy: quasii::SimdPolicy) {
     println!(
@@ -362,11 +346,12 @@ assignment coordinate (paper footnote 1; lower is the paper's default —
 center/upper exercise the engine's cached-key modes). --seal false keeps
 the adaptive machinery on every query (the sealed read path's reference
 configuration); results are identical either way, and the run prints the
-sealed fraction reached. --simd picks the kernel generation QUASII's
-column kernels dispatch to (auto = QUASII_SIMD env override, then runtime
-CPU detection; forcing an ISA the host lacks is an error; scalar is the
-bit-for-bit oracle) — results are identical for every level, and the run
-prints the selected ISA. --metrics turns on the global metrics registry
+sealed fraction reached. --simd picks the ISA of QUASII's streaming
+test kernels only (sealed lane tests, bottom-level collect; the crack
+partitions are always scalar): auto = QUASII_SIMD env override, then
+runtime CPU detection; forcing an ISA the host lacks is an error; scalar
+is the bit-for-bit oracle. Results are identical for every level, and the
+run prints the selected ISA. --metrics turns on the global metrics registry
 for the run and prints a latency table afterwards (batch phase p50/p90/p99,
 shard fan-out, seal sweeps); metrics are a pure side channel — answers are
 byte-identical with or without it.
@@ -525,7 +510,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             if !seal && index != "quasii" {
                 return Err("--seal requires --index quasii".to_string());
             }
-            let simd = parse_simd(&simd)?;
+            let simd = quasii::SimdPolicy::parse_flag(&simd)?;
             if simd != quasii::SimdPolicy::Auto && index != "quasii" {
                 return Err("--simd requires --index quasii".to_string());
             }
@@ -736,7 +721,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
         } => {
             let assign_by = quasii::AssignBy::parse(&assign_by)
                 .ok_or_else(|| format!("unknown --assign-by '{assign_by}' (lower|center|upper)"))?;
-            let simd = parse_simd(&simd)?;
+            let simd = quasii::SimdPolicy::parse_flag(&simd)?;
             let finalize = match finalize.as_str() {
                 "true" => true,
                 "false" => false,
@@ -874,7 +859,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 "false" => false,
                 other => return Err(format!("unknown --adaptive '{other}' (true|false)")),
             };
-            let simd = parse_simd(&simd)?;
+            let simd = quasii::SimdPolicy::parse_flag(&simd)?;
             // A server always exposes /metrics, so the registry is always
             // on (fresh, so the exposition reports this process only).
             obs::registry::reset();

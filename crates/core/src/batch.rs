@@ -164,8 +164,8 @@ impl<const D: usize> Quasii<D> {
     ///
     /// Results, the final hierarchy and the stats counters are bit-for-bit
     /// identical to running the queries one by one through
-    /// [`SpatialIndex::query`], for every thread count (see the module
-    /// documentation for why).
+    /// [`quasii_common::index::SpatialIndex::query`], for every thread
+    /// count (see the module documentation for why).
     ///
     /// # Panics
     ///

@@ -10,36 +10,36 @@
 //!
 //! # Kernel generations
 //!
-//! The engine has gone through three kernel generations:
+//! Two generations live here:
 //!
 //! 1. **record-streaming** — compare-and-swap over the wide `Record<D>`
-//!    array, recomputing [`key_of`] on every probe, then separate measuring
-//!    passes per output segment (kept in [`reference`] as the oracle);
-//! 2. **fused** — same record-streaming comparison loop, but each record is
-//!    folded into its output segment's full [`SegMeasure`] during the
-//!    partition pass (also in [`reference`]);
-//! 3. **keyed** — the current generation (this module's `*_keyed*`
+//!    array, recomputing [`key_of`] on every probe; output segments are
+//!    measured by separate passes ([`DimBounds::of`]). Kept in
+//!    [`mod@reference`] as the oracle.
+//! 2. **keyed** — the engine's kernels (this module's `*_keyed_measured`
 //!    functions): the partition scans two narrow, cache-resident columns
 //!    maintained by [`crate::keys::KeyColumn`] — the **assignment-key
 //!    column** (`keys[i] == key_of(&recs[i], dim, mode)`) it compares
 //!    against the pivot, and the companion upper-bound column
 //!    (`his[i] == recs[i].mbb.hi[dim]`) it folds bounding information from
 //!    — and touches the wide records **only to swap misplaced pairs**.
-//!    Instead of the full multi-dimensional [`SegMeasure`], the keyed
-//!    kernels measure exactly what the engine consumes per output segment:
-//!    a [`DimBounds`] on the crack dimension (the engine lazily computes an
-//!    exact MBB only for the at-most-τ-sized segments that become refined
-//!    slices, where the scan is cache-resident). Cf. Idreos et al.'s
-//!    database cracking and Pirk et al.'s predicated "fancy scan" kernels.
+//!    Each kernel measures exactly what the engine consumes per output
+//!    segment during the pass: a [`DimBounds`] on the crack dimension (the
+//!    engine lazily computes an exact MBB only for the at-most-τ-sized
+//!    segments that become refined slices, where the scan is
+//!    cache-resident). Cf. Idreos et al.'s database cracking and Pirk et
+//!    al.'s predicated "fancy scan" kernels.
 //!
-//! Every keyed kernel produces **the same permutation, split points and
-//! measurements** as its record-streaming counterpart in [`reference`]
-//! (permutations and split points bit-for-bit; measurements value-equal
-//! min/max folds); `tests/keyed_kernels.rs` proves it property-based.
+//! The partitions are scalar: a crack is bound by the bytes it streams,
+//! not by compare width (EXPERIMENTS.md "Kernel generations").
+//!
+//! Every keyed kernel produces **the same permutation and split points**
+//! as its record-streaming counterpart in [`mod@reference`] (bit-for-bit),
+//! and its measurements equal a [`DimBounds::of`] re-scan of each output
+//! segment; `tests/keyed_kernels.rs` proves it property-based.
 
 use crate::config::AssignBy;
-use crate::simd::{self, SimdLevel};
-use quasii_common::geom::{Aabb, Record};
+use quasii_common::geom::Record;
 
 /// The representative (assignment) coordinate of `r` on `dim`.
 #[inline(always)]
@@ -79,10 +79,9 @@ impl DimBounds {
     /// Folds one element's assignment key and upper bound in. Kept
     /// `inline(always)` and only ever called on fixed named locals so the
     /// accumulator stays in registers (an index-selected destination would
-    /// force it into memory). `pub(crate)` so [`crate::simd`]'s scalar
-    /// twins share the exact fold the oracle uses.
+    /// force it into memory).
     #[inline(always)]
-    pub(crate) fn fold_key_hi(&mut self, k: f64, h: f64) {
+    fn fold_key_hi(&mut self, k: f64, h: f64) {
         if k < self.min_key {
             self.min_key = k;
         }
@@ -121,56 +120,6 @@ impl DimBounds {
     }
 }
 
-/// Full measurements of one crack output segment: the assignment-key
-/// minimum plus the exact MBB over **all** dimensions. The fused
-/// [`reference`] kernels accumulate this during their partition pass; the
-/// current keyed engine instead measures [`DimBounds`] in-pass and derives
-/// the exact MBB lazily (only for segments small enough to become refined).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SegMeasure<const D: usize> {
-    /// Minimum assignment key over the segment (`+inf` when empty).
-    pub min_key: f64,
-    /// Exact MBB of the segment ([`Aabb::empty`] when empty).
-    pub mbb: Aabb<D>,
-}
-
-impl<const D: usize> SegMeasure<D> {
-    /// Identity measurement of an empty segment.
-    pub fn empty() -> Self {
-        Self {
-            min_key: f64::INFINITY,
-            mbb: Aabb::empty(),
-        }
-    }
-
-    /// Folds one record in; `key` is its precomputed assignment key.
-    #[inline(always)]
-    fn add(&mut self, r: &Record<D>, key: f64) {
-        if key < self.min_key {
-            self.min_key = key;
-        }
-        self.mbb.expand(&r.mbb);
-    }
-
-    /// Measures a segment with a plain record scan.
-    pub fn of(seg: &[Record<D>], dim: usize, mode: AssignBy) -> Self {
-        let mut m = Self::empty();
-        for r in seg {
-            m.add(r, key_of(r, dim, mode));
-        }
-        m
-    }
-
-    /// The per-dimension view of this measurement.
-    pub fn dim_bounds(&self, dim: usize) -> DimBounds {
-        DimBounds {
-            min_key: self.min_key,
-            min_lo: self.mbb.lo[dim],
-            max_hi: self.mbb.hi[dim],
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Keyed kernels — the engine's hot path. All of them operate on a
 // `(keys, his, recs)` triple in lockstep: on entry `keys[i]` must equal
@@ -190,9 +139,8 @@ fn folds_lo(mode: AssignBy) -> bool {
 
 /// The one place a measuring kernel touches a record's MBB: folds
 /// `recs[idx].mbb.lo[dim]` into `b` when the assignment mode requires it
-/// (`Center`/`Upper`, where the key is not the lower bound). Shared by
-/// the scalar oracle kernels and the chunked SIMD path so both load the
-/// record exactly the same way; compiles to nothing when `!FOLD_LO`.
+/// (`Center`/`Upper`, where the key is not the lower bound); compiles to
+/// nothing when `!FOLD_LO`.
 #[inline(always)]
 fn fold_lo_at<const D: usize, const FOLD_LO: bool>(
     b: &mut DimBounds,
@@ -205,48 +153,11 @@ fn fold_lo_at<const D: usize, const FOLD_LO: bool>(
     }
 }
 
-/// Two-way keyed crack: reorders the `(keys, his, recs)` triple in lockstep
-/// so entries with `key < pivot` precede the rest; returns the split point
-/// (first index of the `>= pivot` part).
-///
-/// The scan compares only the 8-byte key column (a `Record<3>` is 56
-/// bytes); the wide records are touched only when a misplaced pair must
-/// swap. Produces bit-for-bit the same permutation and split point as
-/// [`reference::crack_two`].
-pub fn crack_two_keyed<const D: usize>(
-    keys: &mut [f64],
-    his: &mut [f64],
-    recs: &mut [Record<D>],
-    pivot: f64,
-) -> usize {
-    debug_assert!(keys.len() == recs.len() && his.len() == recs.len());
-    let mut i = 0usize;
-    let mut j = keys.len();
-    loop {
-        while i < j && keys[i] < pivot {
-            i += 1;
-        }
-        while i < j && keys[j - 1] >= pivot {
-            j -= 1;
-        }
-        if i + 1 >= j {
-            break;
-        }
-        keys.swap(i, j - 1);
-        his.swap(i, j - 1);
-        recs.swap(i, j - 1);
-        i += 1;
-        j -= 1;
-    }
-    i
-}
-
-/// Measuring two-way keyed crack: same partition (and identical split
-/// point) as [`crack_two_keyed`], additionally measuring both output
-/// segments' [`DimBounds`] during the pass — min key and max upper bound
-/// straight from the narrow columns (`FOLD_LO` additionally folds
-/// `lo[dim]` from the records, needed for `Center`/`Upper` assignment
-/// where the key is not the lower bound).
+/// Body of [`crack_two_keyed_measured`]: measures both output segments'
+/// [`DimBounds`] during the pass — min key and max upper bound straight
+/// from the narrow columns (`FOLD_LO` additionally folds `lo[dim]` from
+/// the records, needed for `Center`/`Upper` assignment where the key is
+/// not the lower bound).
 fn crack_two_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
     keys: &mut [f64],
     his: &mut [f64],
@@ -300,79 +211,16 @@ fn crack_two_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
     (i, left, right)
 }
 
-/// Chunked classify-then-swap two-way crack — the vectorized generation
-/// of [`crack_two_keyed_measured_impl`]. Pass 1 classifies the key
-/// column against the pivot with [`simd::classify_two`] (vector
-/// compare + movemask count, min/max folds as vector reductions), which
-/// pins the exact split point up front; pass 2 then runs the Hoare swap
-/// loop bounded by that split, fast-forwarding both pointers with
-/// vector scans ([`simd::ff_lt`] / [`simd::ff_ge_rev`]) and swapping
-/// the same misplaced pairs, in the same order, as the scalar oracle —
-/// the permutation and split point are bit-for-bit identical, the fold
-/// results value-equal.
-fn crack_two_keyed_chunked<const D: usize, const FOLD_LO: bool>(
-    level: SimdLevel,
-    keys: &mut [f64],
-    his: &mut [f64],
-    recs: &mut [Record<D>],
-    dim: usize,
-    pivot: f64,
-) -> (usize, DimBounds, DimBounds) {
-    let mut left = DimBounds::empty();
-    let mut right = DimBounds::empty();
-    let census = simd::classify_two(level, keys, his, pivot);
-    left.fold_key_hi(census.l_min_key, census.l_max_hi);
-    right.fold_key_hi(census.r_min_key, census.r_max_hi);
-    if FOLD_LO {
-        // Center/Upper assignment also needs min `lo[dim]` per side,
-        // which lives in the wide records: one classified sweep through
-        // the shared fold helper, before any swap disturbs positions.
-        for (idx, &k) in keys.iter().enumerate() {
-            if k < pivot {
-                fold_lo_at::<D, FOLD_LO>(&mut left, recs, idx, dim);
-            } else {
-                fold_lo_at::<D, FOLD_LO>(&mut right, recs, idx, dim);
-            }
-        }
-    }
-    let split = census.count_lt;
-    let mut i = 0usize;
-    let mut j = keys.len();
-    loop {
-        i += simd::ff_lt(level, &keys[i..split], pivot);
-        if i >= split {
-            break;
-        }
-        // keys[i] is a misplaced `>= pivot`; by the split-count
-        // invariant an equally-misplaced `< pivot` partner exists in
-        // [split, j), so the backward fast-forward cannot run past it.
-        j -= simd::ff_ge_rev(level, &keys[split..j], pivot);
-        debug_assert!(j > split && keys[j - 1] < pivot);
-        keys.swap(i, j - 1);
-        his.swap(i, j - 1);
-        recs.swap(i, j - 1);
-        i += 1;
-        j -= 1;
-    }
-    if !FOLD_LO {
-        // Lower assignment: the key is the lower bound.
-        left.min_lo = left.min_key;
-        right.min_lo = right.min_key;
-    }
-    (split, left, right)
-}
-
-/// Measuring two-way keyed crack (see
-/// [`crack_two_keyed`] for the partition contract): returns the split point
-/// and both output segments' [`DimBounds`], measured from the narrow
-/// columns during the pass. Identical permutation and split point to
-/// [`reference::crack_two_measured`]; the measurements equal that kernel's
-/// [`SegMeasure::dim_bounds`] view.
+/// Two-way keyed crack: reorders the `(keys, his, recs)` triple in lockstep
+/// so entries with `key < pivot` precede the rest; returns the split point
+/// (first index of the `>= pivot` part) and both output segments'
+/// [`DimBounds`], measured from the narrow columns during the pass.
 ///
-/// `level` selects the kernel generation: [`SimdLevel::Scalar`] runs the
-/// swap-interleaved oracle loop, the vector levels run the chunked
-/// classify-then-swap pass ([`crack_two_keyed_chunked`]) with identical
-/// results.
+/// The scan compares only the 8-byte key column (a `Record<3>` is 56
+/// bytes); the wide records are touched only when a misplaced pair must
+/// swap (or, in `Center`/`Upper` mode, to fold `lo[dim]`). Produces
+/// bit-for-bit the same permutation and split point as
+/// [`reference::crack_two`].
 pub fn crack_two_keyed_measured<const D: usize>(
     keys: &mut [f64],
     his: &mut [f64],
@@ -380,93 +228,17 @@ pub fn crack_two_keyed_measured<const D: usize>(
     dim: usize,
     mode: AssignBy,
     pivot: f64,
-    level: SimdLevel,
 ) -> (usize, DimBounds, DimBounds) {
     debug_assert!(keys.len() == recs.len() && his.len() == recs.len());
-    match (level, folds_lo(mode)) {
-        (SimdLevel::Scalar, true) => {
-            crack_two_keyed_measured_impl::<D, true>(keys, his, recs, dim, pivot)
-        }
-        (SimdLevel::Scalar, false) => {
-            crack_two_keyed_measured_impl::<D, false>(keys, his, recs, dim, pivot)
-        }
-        (lv, true) => crack_two_keyed_chunked::<D, true>(lv, keys, his, recs, dim, pivot),
-        (lv, false) => crack_two_keyed_chunked::<D, false>(lv, keys, his, recs, dim, pivot),
+    if folds_lo(mode) {
+        crack_two_keyed_measured_impl::<D, true>(keys, his, recs, dim, pivot)
+    } else {
+        crack_two_keyed_measured_impl::<D, false>(keys, his, recs, dim, pivot)
     }
 }
 
-/// Consecutive middle-class elements the three-way kernels handle scalar
-/// before engaging the vector middle-run scan. The `#[target_feature]`
-/// vector bodies cannot inline into the kernel loop, so each engagement
-/// pays a real call; runs shorter than this are cheaper scalar (random
-/// segments have runs of 1–3 at typical range selectivities), while the
-/// long runs of converging segments amortize it in the first lane-width.
-const MID_RUN: usize = 8;
-
-/// Three-way keyed crack (Dutch national flag): partitions the
-/// `(keys, his, recs)` triple into `key < low` | `low <= key <= high` |
-/// `key > high`; returns the two split points `(p1, p2)` so the middle part
-/// is `p1..p2`. Identical permutation to [`reference::crack_three`].
-///
-/// The DNF swap chain is inherently sequential, so the vector levels keep
-/// it scalar and vectorize the middle-run advance ([`simd::ff_middle`]) —
-/// the dominant class once a segment converges. Middle elements never
-/// swap, so the permutation stays bit-for-bit identical across levels.
-pub fn crack_three_keyed<const D: usize>(
-    keys: &mut [f64],
-    his: &mut [f64],
-    recs: &mut [Record<D>],
-    low: f64,
-    high: f64,
-    level: SimdLevel,
-) -> (usize, usize) {
-    debug_assert!(keys.len() == recs.len() && his.len() == recs.len());
-    debug_assert!(low <= high, "crack_three bounds inverted: {low} > {high}");
-    let vector = level != SimdLevel::Scalar;
-    let mut lt = 0usize;
-    let mut i = 0usize;
-    let mut gt = keys.len();
-    // Consecutive middle-class elements seen scalar-side. The vector
-    // fast-forward only engages once a run has proven long (≥ MID_RUN):
-    // random segments have runs of a few elements, where the non-inlinable
-    // vector call costs more than it saves; converged segments — the case
-    // the fast-forward exists for — have long runs that amortize it.
-    let mut mid_run = 0usize;
-    while i < gt {
-        let v = keys[i];
-        if v < low {
-            // Self-swaps (lt == i) are no-ops in the reference kernel too;
-            // skipping them saves record traffic on ordered prefixes
-            // without changing the permutation.
-            if lt != i {
-                keys.swap(lt, i);
-                his.swap(lt, i);
-                recs.swap(lt, i);
-            }
-            lt += 1;
-            i += 1;
-            mid_run = 0;
-        } else if v > high {
-            gt -= 1;
-            keys.swap(i, gt);
-            his.swap(i, gt);
-            recs.swap(i, gt);
-            mid_run = 0;
-        } else {
-            i += 1;
-            mid_run += 1;
-            if vector && mid_run >= MID_RUN && i < gt {
-                i += simd::ff_middle(level, &keys[i..gt], low, high);
-                mid_run = 0;
-            }
-        }
-    }
-    (lt, gt)
-}
-
-/// Measuring three-way keyed crack: same partition (and identical split
-/// points) as [`crack_three_keyed`], measuring the three output segments'
-/// [`DimBounds`] during the pass from the narrow columns.
+/// Body of [`crack_three_keyed_measured`]: measures the three output
+/// segments' [`DimBounds`] during the pass from the narrow columns.
 fn crack_three_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
     keys: &mut [f64],
     his: &mut [f64],
@@ -474,7 +246,6 @@ fn crack_three_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
     dim: usize,
     low: f64,
     high: f64,
-    level: SimdLevel,
 ) -> (usize, usize, [DimBounds; 3]) {
     // Three scalar accumulator sets with a fixed destination per branch arm
     // (an index-selected `m[region]` fold would force the accumulators into
@@ -482,54 +253,21 @@ fn crack_three_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
     let mut m0 = DimBounds::empty();
     let mut m1 = DimBounds::empty();
     let mut m2 = DimBounds::empty();
-    let vector = level != SimdLevel::Scalar;
     let mut lt = 0usize;
     let mut i = 0usize;
     let mut gt = keys.len();
     while i < gt {
         // Fast-forward over a run of middle-class elements (no swap, fixed
         // fold destination) — the dominant class once a segment converges.
-        // Vector levels scan the first MID_RUN elements of a run scalar
-        // (short runs dominate unconverged segments, where the
-        // non-inlinable vector call costs more than it saves) and advance
-        // 4 (2) lanes per compare with vector min/max folds once the run
-        // proves long; the scalar oracle keeps its zipped subslice
-        // iterators so the narrow-column loads carry no per-element bounds
-        // check.
-        if vector {
-            let mut run = 0usize;
-            while i < gt {
-                let k = keys[i];
-                if k < low || k > high {
-                    break;
-                }
-                m1.fold_key_hi(k, his[i]);
-                fold_lo_at::<D, FOLD_LO>(&mut m1, recs, i, dim);
-                i += 1;
-                run += 1;
-                if run >= MID_RUN && i < gt {
-                    let adv =
-                        simd::ff_middle_fold(level, &keys[i..gt], &his[i..gt], low, high, &mut m1);
-                    if FOLD_LO {
-                        for t in i..i + adv {
-                            fold_lo_at::<D, FOLD_LO>(&mut m1, recs, t, dim);
-                        }
-                    }
-                    i += adv;
-                    // The vector scan stopped on a non-middle element (or
-                    // the end of the range).
-                    break;
-                }
+        // Zipped subslice iterators keep the narrow-column loads free of
+        // per-element bounds checks.
+        for (&k, &h) in keys[i..gt].iter().zip(his[i..gt].iter()) {
+            if k < low || k > high {
+                break;
             }
-        } else {
-            for (&k, &h) in keys[i..gt].iter().zip(his[i..gt].iter()) {
-                if k < low || k > high {
-                    break;
-                }
-                m1.fold_key_hi(k, h);
-                fold_lo_at::<D, FOLD_LO>(&mut m1, recs, i, dim);
-                i += 1;
-            }
+            m1.fold_key_hi(k, h);
+            fold_lo_at::<D, FOLD_LO>(&mut m1, recs, i, dim);
+            i += 1;
         }
         if i >= gt {
             break;
@@ -570,11 +308,11 @@ fn crack_three_keyed_measured_impl<const D: usize, const FOLD_LO: bool>(
     (lt, gt, m)
 }
 
-/// Measuring three-way keyed crack (see [`crack_three_keyed`] for the
-/// partition contract): identical permutation and split points to
-/// [`reference::crack_three_measured`]; the measurements equal that
-/// kernel's [`SegMeasure::dim_bounds`] view.
-#[allow(clippy::too_many_arguments)]
+/// Three-way keyed crack (Dutch national flag): partitions the
+/// `(keys, his, recs)` triple into `key < low` | `low <= key <= high` |
+/// `key > high`; returns the two split points `(p1, p2)` so the middle part
+/// is `p1..p2`, plus the three output segments' [`DimBounds`] measured
+/// during the pass. Identical permutation to [`reference::crack_three`].
 pub fn crack_three_keyed_measured<const D: usize>(
     keys: &mut [f64],
     his: &mut [f64],
@@ -583,70 +321,36 @@ pub fn crack_three_keyed_measured<const D: usize>(
     mode: AssignBy,
     low: f64,
     high: f64,
-    level: SimdLevel,
 ) -> (usize, usize, [DimBounds; 3]) {
     debug_assert!(keys.len() == recs.len() && his.len() == recs.len());
     debug_assert!(low <= high, "crack_three bounds inverted: {low} > {high}");
     if folds_lo(mode) {
-        crack_three_keyed_measured_impl::<D, true>(keys, his, recs, dim, low, high, level)
+        crack_three_keyed_measured_impl::<D, true>(keys, his, recs, dim, low, high)
     } else {
-        crack_three_keyed_measured_impl::<D, false>(keys, his, recs, dim, low, high, level)
+        crack_three_keyed_measured_impl::<D, false>(keys, his, recs, dim, low, high)
     }
 }
 
 /// Rank-based fallback split used when midpoint (value) splits cannot
 /// separate a degenerate distribution: moves the median-by-key record into
 /// place, rebuilds both columns for the permuted segment, and partitions
-/// around the median key. Returns the split point, which may be `0` or
-/// `recs.len()` when all keys are equal (caller must handle).
+/// around the median key with [`crack_two_keyed_measured`], returning its
+/// split point and both halves' [`DimBounds`]. The split may be `0` or
+/// `recs.len()` when all keys are equal; on such a degenerate
+/// (value-indivisible or sub-2-element) segment the caller force-refines
+/// and never reads the measurements.
 ///
 /// The record selection runs the exact comparator of
 /// [`reference::crack_median`], so the permutation (and therefore the whole
 /// engine state) stays bit-for-bit identical to the record-streaming
 /// oracle. This path is rare (degenerate value distributions only), so the
 /// extra re-keying scan does not matter.
-pub fn crack_median_keyed<const D: usize>(
-    keys: &mut [f64],
-    his: &mut [f64],
-    recs: &mut [Record<D>],
-    dim: usize,
-    mode: AssignBy,
-) -> usize {
-    debug_assert!(keys.len() == recs.len() && his.len() == recs.len());
-    if recs.len() < 2 {
-        return recs.len();
-    }
-    let mid = recs.len() / 2;
-    recs.select_nth_unstable_by(mid, |a, b| {
-        key_of(a, dim, mode)
-            .partial_cmp(&key_of(b, dim, mode))
-            .expect("coordinates are never NaN")
-    });
-    // The selection permuted the records without the columns: re-key.
-    crate::keys::rekey(keys, his, recs, dim, mode);
-    let pivot = keys[mid];
-    // Partition strictly below the median value; if everything is equal to
-    // the pivot this yields 0 and the caller treats the slice as
-    // value-indivisible.
-    crack_two_keyed(keys, his, recs, pivot)
-}
-
-/// Measuring rank-based fallback split: same permutation and split point as
-/// [`crack_median_keyed`], additionally measuring both output segments'
-/// [`DimBounds`] during the final partition pass — so the engine's
-/// artificial-refinement fallback no longer re-scans both halves with
-/// [`DimBounds::of`] after the kernel already walked the columns.
-///
-/// The measurements are only meaningful when `0 < split < recs.len()`; on a
-/// degenerate (value-indivisible or sub-2-element) segment the caller
-/// force-refines and never reads them.
 pub fn crack_median_keyed_measured<const D: usize>(
     keys: &mut [f64],
     his: &mut [f64],
     recs: &mut [Record<D>],
     dim: usize,
     mode: AssignBy,
-    level: SimdLevel,
 ) -> (usize, DimBounds, DimBounds) {
     debug_assert!(keys.len() == recs.len() && his.len() == recs.len());
     if recs.len() < 2 {
@@ -661,15 +365,18 @@ pub fn crack_median_keyed_measured<const D: usize>(
     // The selection permuted the records without the columns: re-key.
     crate::keys::rekey(keys, his, recs, dim, mode);
     let pivot = keys[mid];
-    crack_two_keyed_measured(keys, his, recs, dim, mode, pivot, level)
+    // Partition strictly below the median value; if everything is equal to
+    // the pivot this yields 0 and the caller treats the slice as
+    // value-indivisible.
+    crack_two_keyed_measured(keys, his, recs, dim, mode, pivot)
 }
 
-/// The record-streaming kernel generations (pre-key-column), kept as the
+/// The record-streaming kernel generation (pre-key-column), kept as the
 /// bit-for-bit oracle for the keyed kernels and as the baseline side of the
 /// `benches/kernels.rs` keyed-vs-record-streaming comparison. Not used on
 /// the engine's query path.
 pub mod reference {
-    use super::{key_of, SegMeasure};
+    use super::key_of;
     use crate::config::AssignBy;
     use quasii_common::geom::Record;
 
@@ -704,61 +411,6 @@ pub mod reference {
         i
     }
 
-    /// Fused two-way crack: same partition (and identical split point) as
-    /// [`crack_two`], but additionally measures both output segments
-    /// *during* the pass. Every record is folded into its final side's
-    /// [`SegMeasure`] exactly once, at the moment the partition decides
-    /// where it lands.
-    pub fn crack_two_measured<const D: usize>(
-        seg: &mut [Record<D>],
-        dim: usize,
-        mode: AssignBy,
-        pivot: f64,
-    ) -> (usize, SegMeasure<D>, SegMeasure<D>) {
-        let mut left = SegMeasure::empty();
-        let mut right = SegMeasure::empty();
-        let mut i = 0usize;
-        let mut j = seg.len();
-        loop {
-            // `ki`/`kj` carry the key each scan stopped on, so the swap
-            // branch below does not recompute them.
-            let mut ki = f64::NAN;
-            while i < j {
-                let k = key_of(&seg[i], dim, mode);
-                if k >= pivot {
-                    ki = k;
-                    break;
-                }
-                left.add(&seg[i], k);
-                i += 1;
-            }
-            let mut kj = f64::NAN;
-            while i < j {
-                let k = key_of(&seg[j - 1], dim, mode);
-                if k < pivot {
-                    kj = k;
-                    break;
-                }
-                right.add(&seg[j - 1], k);
-                j -= 1;
-            }
-            if i + 1 >= j {
-                break;
-            }
-            // Both scans stopped on a misplaced pair (i + 1 < j implies
-            // neither exhausted the range, so ki/kj are set): seg[i] belongs
-            // right, seg[j-1] belongs left. Measure both on their final
-            // side, swap.
-            debug_assert!(!ki.is_nan() && !kj.is_nan());
-            right.add(&seg[i], ki);
-            left.add(&seg[j - 1], kj);
-            seg.swap(i, j - 1);
-            i += 1;
-            j -= 1;
-        }
-        (i, left, right)
-    }
-
     /// Three-way crack (Dutch national flag): partitions `seg` into
     /// `key < low` | `low <= key <= high` | `key > high`; returns the two
     /// split points `(p1, p2)` so the middle part is `p1..p2`.
@@ -787,40 +439,6 @@ pub mod reference {
             }
         }
         (lt, gt)
-    }
-
-    /// Fused three-way crack: same partition (and identical split points)
-    /// as [`crack_three`], measuring the three output segments during the
-    /// pass.
-    pub fn crack_three_measured<const D: usize>(
-        seg: &mut [Record<D>],
-        dim: usize,
-        mode: AssignBy,
-        low: f64,
-        high: f64,
-    ) -> (usize, usize, [SegMeasure<D>; 3]) {
-        debug_assert!(low <= high, "crack_three bounds inverted: {low} > {high}");
-        let mut m = [SegMeasure::empty(); 3];
-        let mut lt = 0usize;
-        let mut i = 0usize;
-        let mut gt = seg.len();
-        while i < gt {
-            let v = key_of(&seg[i], dim, mode);
-            if v < low {
-                m[0].add(&seg[i], v);
-                seg.swap(lt, i);
-                lt += 1;
-                i += 1;
-            } else if v > high {
-                m[2].add(&seg[i], v);
-                gt -= 1;
-                seg.swap(i, gt);
-            } else {
-                m[1].add(&seg[i], v);
-                i += 1;
-            }
-        }
-        (lt, gt, m)
     }
 
     /// Rank-based fallback split used when midpoint (value) splits cannot
@@ -852,9 +470,7 @@ pub mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::{
-        crack_median, crack_three, crack_three_measured, crack_two, crack_two_measured,
-    };
+    use super::reference::{crack_median, crack_three, crack_two};
     use super::*;
     use crate::keys::rekey;
     use quasii_common::geom::Aabb;
@@ -862,7 +478,6 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     const LOWER: AssignBy = AssignBy::Lower;
-    const ALL_LEVELS: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2];
 
     fn rec1(lo: f64, hi: f64) -> Record<1> {
         Record::new(0, Aabb::new([lo], [hi]))
@@ -1040,11 +655,6 @@ mod tests {
         assert!(e.min_lo.is_infinite() && e.max_hi.is_infinite());
     }
 
-    /// Reference measurement: plain scans over the already-partitioned data.
-    fn measure_ref(seg: &[Record<3>], mode: AssignBy) -> SegMeasure<3> {
-        SegMeasure::of(seg, 0, mode)
-    }
-
     fn random_segment3(n: usize, seed: u64) -> Vec<Record<3>> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
@@ -1061,70 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_two_way_matches_split_passes() {
-        for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
-            for (seed, pivot) in [(11, 50.0), (12, 0.0), (13, 200.0), (14, 97.5)] {
-                let mut fused = random_segment3(500, seed);
-                let mut plain = fused.clone();
-                let (p, left, right) = crack_two_measured(&mut fused, 0, mode, pivot);
-                let p_ref = crack_two(&mut plain, 0, mode, pivot);
-                assert_eq!(p, p_ref, "split point diverged (mode {mode:?})");
-                let ids = |s: &[Record<3>]| s.iter().map(|r| r.id).collect::<Vec<_>>();
-                // Same partition contents (the physical order inside each
-                // side is identical: both kernels do the same swaps).
-                assert_eq!(ids(&fused), ids(&plain));
-                assert_eq!(left, measure_ref(&fused[..p], mode));
-                assert_eq!(right, measure_ref(&fused[p..], mode));
-                assert_eq!(
-                    left.dim_bounds(0),
-                    DimBounds::of(&fused[..p], 0, mode),
-                    "DimBounds view must match the unfused measurement"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fused_three_way_matches_split_passes() {
-        for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
-            for (seed, lo, hi) in [(21, 25.0, 75.0), (22, 50.0, 50.0), (23, -5.0, -1.0)] {
-                let mut fused = random_segment3(700, seed);
-                let mut plain = fused.clone();
-                let (p1, p2, m) = crack_three_measured(&mut fused, 0, mode, lo, hi);
-                let (r1, r2) = crack_three(&mut plain, 0, mode, lo, hi);
-                assert_eq!((p1, p2), (r1, r2), "split points diverged");
-                let ids = |s: &[Record<3>]| s.iter().map(|r| r.id).collect::<Vec<_>>();
-                assert_eq!(ids(&fused), ids(&plain));
-                assert_eq!(m[0], measure_ref(&fused[..p1], mode));
-                assert_eq!(m[1], measure_ref(&fused[p1..p2], mode));
-                assert_eq!(m[2], measure_ref(&fused[p2..], mode));
-            }
-        }
-    }
-
-    #[test]
-    fn fused_kernels_handle_empty_and_degenerate_segments() {
-        let mut empty: Vec<Record<3>> = vec![];
-        let (p, l, r) = crack_two_measured(&mut empty, 0, AssignBy::Lower, 1.0);
-        assert_eq!(p, 0);
-        assert_eq!(l, SegMeasure::empty());
-        assert_eq!(r, SegMeasure::empty());
-        let (p1, p2, m) = crack_three_measured(&mut empty, 0, AssignBy::Lower, 0.0, 1.0);
-        assert_eq!((p1, p2), (0, 0));
-        assert!(m.iter().all(|x| *x == SegMeasure::empty()));
-
-        // All keys equal: everything lands on one side, the other is empty.
-        let mut same: Vec<Record<3>> = (0..10)
-            .map(|i| Record::new(i, Aabb::new([7.0; 3], [8.0; 3])))
-            .collect();
-        let (p, l, r) = crack_two_measured(&mut same, 0, AssignBy::Lower, 7.0);
-        assert_eq!(p, 0);
-        assert_eq!(l, SegMeasure::empty());
-        assert_eq!(r.min_key, 7.0);
-        assert_eq!(r.mbb, Aabb::new([7.0; 3], [8.0; 3]));
-    }
-
-    #[test]
     fn cracks_work_on_higher_dims() {
         let mut seg: Vec<Record<3>> = (0..200)
             .map(|i| {
@@ -1137,8 +683,9 @@ mod tests {
         assert!(seg[p..].iter().all(|r| r.mbb.lo[1] >= 25.0));
     }
 
-    // -- keyed kernels ≡ record-streaming oracle (spot checks; the deep
-    //    property suite lives in tests/keyed_kernels.rs) ------------------
+    // -- keyed kernels ≡ record-streaming oracle + `DimBounds::of` re-scans
+    //    (spot checks; the deep property suite lives in
+    //    tests/keyed_kernels.rs) ---------------------------------------------
 
     /// Asserts the `(keys, his, recs)` triple is still in lockstep.
     fn assert_columns_consistent<const D: usize>(
@@ -1156,41 +703,26 @@ mod tests {
 
     #[test]
     fn keyed_two_way_matches_reference() {
-        for level in ALL_LEVELS {
-            for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
-                for (seed, pivot) in [(31, 50.0), (32, 0.0), (33, 200.0), (34, 97.5)] {
-                    for dim in [0usize, 2] {
-                        let mut keyed = random_segment3(501, seed);
-                        let (mut ck, mut ch) = columns_of(&keyed, dim, mode);
-                        let mut plain = keyed.clone();
-                        let (p, l, r) = crack_two_keyed_measured(
-                            &mut ck, &mut ch, &mut keyed, dim, mode, pivot, level,
-                        );
-                        let (p_ref, l_ref, r_ref) =
-                            crack_two_measured(&mut plain, dim, mode, pivot);
-                        assert_eq!(p, p_ref, "split ({level:?}, mode {mode:?}, dim {dim})");
-                        assert_eq!(
-                            keyed, plain,
-                            "permutation ({level:?}, mode {mode:?}, dim {dim})"
-                        );
-                        assert_eq!(l, l_ref.dim_bounds(dim), "left bounds ({level:?} {mode:?})");
-                        assert_eq!(
-                            r,
-                            r_ref.dim_bounds(dim),
-                            "right bounds ({level:?} {mode:?})"
-                        );
-                        assert_columns_consistent(&ck, &ch, &keyed, dim, mode);
+        for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
+            for (seed, pivot) in [(31, 50.0), (32, 0.0), (33, 200.0), (34, 97.5)] {
+                for dim in [0usize, 2] {
+                    let mut keyed = random_segment3(501, seed);
+                    let (mut ck, mut ch) = columns_of(&keyed, dim, mode);
+                    let mut plain = keyed.clone();
+                    let (p, l, r) =
+                        crack_two_keyed_measured(&mut ck, &mut ch, &mut keyed, dim, mode, pivot);
+                    let p_ref = crack_two(&mut plain, dim, mode, pivot);
+                    assert_eq!(p, p_ref, "split (mode {mode:?}, dim {dim})");
+                    assert_eq!(keyed, plain, "permutation (mode {mode:?}, dim {dim})");
+                    assert_eq!(l, DimBounds::of(&plain[..p], dim, mode), "left {mode:?}");
+                    assert_eq!(r, DimBounds::of(&plain[p..], dim, mode), "right {mode:?}");
+                    assert_columns_consistent(&ck, &ch, &keyed, dim, mode);
 
-                        // Unmeasured variant: identical partition too.
-                        let mut keyed2 = plain.clone();
-                        let (mut ck2, mut ch2) = columns_of(&keyed2, dim, mode);
-                        // plain is already partitioned; re-run both on the
-                        // partitioned input to exercise the sorted edge case.
-                        let p2 = crack_two_keyed(&mut ck2, &mut ch2, &mut keyed2, pivot);
-                        let p2_ref = crack_two(&mut plain, dim, mode, pivot);
-                        assert_eq!(p2, p2_ref);
-                        assert_eq!(keyed2, plain);
-                    }
+                    // Re-crack the partitioned output: the sorted edge case.
+                    let (p2, _, _) =
+                        crack_two_keyed_measured(&mut ck, &mut ch, &mut keyed, dim, mode, pivot);
+                    assert_eq!(p2, crack_two(&mut plain, dim, mode, pivot));
+                    assert_eq!(keyed, plain);
                 }
             }
         }
@@ -1198,135 +730,69 @@ mod tests {
 
     #[test]
     fn keyed_three_way_matches_reference() {
-        for level in ALL_LEVELS {
-            for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
-                for (seed, lo, hi) in [(41, 25.0, 75.0), (42, 50.0, 50.0), (43, -5.0, -1.0)] {
-                    let mut keyed = random_segment3(700, seed);
-                    let (mut ck, mut ch) = columns_of(&keyed, 1, mode);
-                    let mut plain = keyed.clone();
-                    let (p1, p2, m) = crack_three_keyed_measured(
-                        &mut ck, &mut ch, &mut keyed, 1, mode, lo, hi, level,
-                    );
-                    let (r1, r2, m_ref) = crack_three_measured(&mut plain, 1, mode, lo, hi);
-                    assert_eq!((p1, p2), (r1, r2), "{level:?}");
-                    assert_eq!(keyed, plain, "{level:?}");
-                    for (got, want) in m.iter().zip(&m_ref) {
-                        assert_eq!(*got, want.dim_bounds(1), "bounds ({level:?} {mode:?})");
-                    }
-                    assert_columns_consistent(&ck, &ch, &keyed, 1, mode);
-
-                    let mut keyed2 = plain.clone();
-                    let (mut ck2, mut ch2) = columns_of(&keyed2, 1, mode);
-                    let (q1, q2) =
-                        crack_three_keyed(&mut ck2, &mut ch2, &mut keyed2, lo, hi, level);
-                    let (s1, s2) = crack_three(&mut plain, 1, mode, lo, hi);
-                    assert_eq!((q1, q2), (s1, s2), "{level:?}");
-                    assert_eq!(keyed2, plain, "{level:?}");
+        for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
+            for (seed, lo, hi) in [(41, 25.0, 75.0), (42, 50.0, 50.0), (43, -5.0, -1.0)] {
+                let mut keyed = random_segment3(700, seed);
+                let (mut ck, mut ch) = columns_of(&keyed, 1, mode);
+                let mut plain = keyed.clone();
+                let (p1, p2, m) =
+                    crack_three_keyed_measured(&mut ck, &mut ch, &mut keyed, 1, mode, lo, hi);
+                let (r1, r2) = crack_three(&mut plain, 1, mode, lo, hi);
+                assert_eq!((p1, p2), (r1, r2), "{mode:?}");
+                assert_eq!(keyed, plain, "{mode:?}");
+                let parts = [&plain[..p1], &plain[p1..p2], &plain[p2..]];
+                for (got, part) in m.iter().zip(parts) {
+                    assert_eq!(*got, DimBounds::of(part, 1, mode), "bounds {mode:?}");
                 }
+                assert_columns_consistent(&ck, &ch, &keyed, 1, mode);
             }
         }
     }
 
     #[test]
     fn keyed_median_matches_reference() {
-        for mode in [AssignBy::Lower, AssignBy::Center] {
-            let mut keyed = random_segment3(101, 51);
-            let (mut ck, mut ch) = columns_of(&keyed, 0, mode);
-            let mut plain = keyed.clone();
-            let p = crack_median_keyed(&mut ck, &mut ch, &mut keyed, 0, mode);
-            let p_ref = crack_median(&mut plain, 0, mode);
-            assert_eq!(p, p_ref);
-            assert_eq!(keyed, plain);
-            assert_columns_consistent(&ck, &ch, &keyed, 0, mode);
-        }
-        // Degenerate: all equal → 0; tiny segments return their length.
-        let mut same: Vec<Record<3>> = (0..9)
-            .map(|i| Record::new(i, Aabb::new([3.0; 3], [4.0; 3])))
-            .collect();
-        let (mut ck, mut ch) = columns_of(&same, 0, LOWER);
-        assert_eq!(crack_median_keyed(&mut ck, &mut ch, &mut same, 0, LOWER), 0);
-        let mut one = vec![Record::new(0, Aabb::new([1.0; 3], [2.0; 3]))];
-        let (mut ck1, mut ch1) = columns_of(&one, 0, LOWER);
-        assert_eq!(
-            crack_median_keyed(&mut ck1, &mut ch1, &mut one, 0, LOWER),
-            1
-        );
-    }
-
-    #[test]
-    fn measured_median_matches_unmeasured_and_rescan_oracle() {
-        // Same permutation and split point as the unmeasured kernel, and
-        // the in-pass measurements value-equal a `DimBounds::of` re-scan of
-        // each half — exactly what the engine's rank fallback consumed
-        // before the kernel returned them.
         for (mode, dim, seed) in [
             (AssignBy::Lower, 0, 61),
             (AssignBy::Center, 1, 62),
             (AssignBy::Upper, 2, 63),
         ] {
-            let mut measured = random_segment3(137, seed);
-            let (mut mk, mut mh) = columns_of(&measured, dim, mode);
-            let mut plain = measured.clone();
-            let (mut pk, mut ph) = columns_of(&plain, dim, mode);
-
-            let (p, lm, rm) = crack_median_keyed_measured(
-                &mut mk,
-                &mut mh,
-                &mut measured,
-                dim,
-                mode,
-                SimdLevel::detect(),
-            );
-            let p_ref = crack_median_keyed(&mut pk, &mut ph, &mut plain, dim, mode);
-            assert_eq!(p, p_ref, "{mode:?}");
-            assert_eq!(measured, plain, "{mode:?}: permutation diverged");
-            assert_columns_consistent(&mk, &mh, &measured, dim, mode);
-            assert!(
-                0 < p && p < measured.len(),
-                "non-degenerate by construction"
-            );
-            assert_eq!(lm, DimBounds::of(&measured[..p], dim, mode), "{mode:?}");
-            assert_eq!(rm, DimBounds::of(&measured[p..], dim, mode), "{mode:?}");
+            let mut keyed = random_segment3(137, seed);
+            let (mut ck, mut ch) = columns_of(&keyed, dim, mode);
+            let mut plain = keyed.clone();
+            let (p, l, r) = crack_median_keyed_measured(&mut ck, &mut ch, &mut keyed, dim, mode);
+            assert_eq!(p, crack_median(&mut plain, dim, mode), "{mode:?}");
+            assert_eq!(keyed, plain, "{mode:?}: permutation diverged");
+            assert_columns_consistent(&ck, &ch, &keyed, dim, mode);
+            assert!(0 < p && p < keyed.len(), "non-degenerate by construction");
+            assert_eq!(l, DimBounds::of(&keyed[..p], dim, mode), "{mode:?}");
+            assert_eq!(r, DimBounds::of(&keyed[p..], dim, mode), "{mode:?}");
         }
-        // Degenerate inputs report their split like the unmeasured kernel
-        // (measurements are unspecified there and unread by the caller).
+        // Degenerate inputs: all equal → 0; tiny segments return their
+        // length (measurements are unspecified there and unread).
         let mut same: Vec<Record<3>> = (0..9)
             .map(|i| Record::new(i, Aabb::new([3.0; 3], [4.0; 3])))
             .collect();
-        let lv = SimdLevel::detect();
         let (mut ck, mut ch) = columns_of(&same, 0, LOWER);
-        let (p, _, _) = crack_median_keyed_measured(&mut ck, &mut ch, &mut same, 0, LOWER, lv);
+        let (p, _, _) = crack_median_keyed_measured(&mut ck, &mut ch, &mut same, 0, LOWER);
         assert_eq!(p, 0);
         let mut one = vec![Record::new(0, Aabb::new([1.0; 3], [2.0; 3]))];
         let (mut ck1, mut ch1) = columns_of(&one, 0, LOWER);
-        let (p, _, _) = crack_median_keyed_measured(&mut ck1, &mut ch1, &mut one, 0, LOWER, lv);
+        let (p, _, _) = crack_median_keyed_measured(&mut ck1, &mut ch1, &mut one, 0, LOWER);
         assert_eq!(p, 1);
-        let mut empty: Vec<Record<3>> = vec![];
-        let (mut ck0, mut ch0) = columns_of(&empty, 0, LOWER);
-        let (p, l, r) = crack_median_keyed_measured(&mut ck0, &mut ch0, &mut empty, 0, LOWER, lv);
-        assert_eq!((p, l, r), (0, DimBounds::empty(), DimBounds::empty()));
     }
 
     #[test]
     fn keyed_kernels_handle_empty_segments() {
-        for level in ALL_LEVELS {
-            let mut keys: Vec<f64> = vec![];
-            let mut his: Vec<f64> = vec![];
-            let mut recs: Vec<Record<3>> = vec![];
-            assert_eq!(crack_two_keyed(&mut keys, &mut his, &mut recs, 1.0), 0);
-            let (p, l, r) =
-                crack_two_keyed_measured(&mut keys, &mut his, &mut recs, 0, LOWER, 1.0, level);
-            assert_eq!(p, 0);
-            assert_eq!((l, r), (DimBounds::empty(), DimBounds::empty()));
-            let (p1, p2, m) = crack_three_keyed_measured(
-                &mut keys, &mut his, &mut recs, 0, LOWER, 0.0, 1.0, level,
-            );
-            assert_eq!((p1, p2), (0, 0));
-            assert!(m.iter().all(|x| *x == DimBounds::empty()));
-            assert_eq!(
-                crack_median_keyed(&mut keys, &mut his, &mut recs, 0, LOWER),
-                0
-            );
-        }
+        let mut keys: Vec<f64> = vec![];
+        let mut his: Vec<f64> = vec![];
+        let mut recs: Vec<Record<3>> = vec![];
+        let (p, l, r) = crack_two_keyed_measured(&mut keys, &mut his, &mut recs, 0, LOWER, 1.0);
+        assert_eq!((p, l, r), (0, DimBounds::empty(), DimBounds::empty()));
+        let (p1, p2, m) =
+            crack_three_keyed_measured(&mut keys, &mut his, &mut recs, 0, LOWER, 0.0, 1.0);
+        assert_eq!((p1, p2), (0, 0));
+        assert!(m.iter().all(|x| *x == DimBounds::empty()));
+        let (p, l, r) = crack_median_keyed_measured(&mut keys, &mut his, &mut recs, 0, LOWER);
+        assert_eq!((p, l, r), (0, DimBounds::empty(), DimBounds::empty()));
     }
 }

@@ -30,14 +30,8 @@ pub(crate) struct Env<const D: usize> {
     pub max_artificial_depth: usize,
     /// Kernel generation for the streaming test kernels (bottom-level
     /// collect, sealed lane tests), resolved once at engine construction
-    /// (see [`crate::simd`]).
+    /// (see [`crate::simd`]). The partition kernels are always scalar.
     pub simd: SimdLevel,
-    /// Kernel generation for the partition (crack) kernels. Resolved
-    /// separately because `Auto` keeps the cracks on the scalar fused
-    /// generation: the chunked classify-then-swap pass re-streams the key
-    /// column and loses on bandwidth-bound hosts (see
-    /// [`crate::simd::SimdPolicy::resolve_crack`]).
-    pub simd_crack: SimdLevel,
 }
 
 /// Mutable runtime state shared across the recursion.
@@ -212,16 +206,14 @@ fn artificial<const D: usize>(
     let kseg = &mut keys[s.begin..s.end];
     let hseg = &mut his[s.begin..s.end];
     let seg_len = seg.len() as u64;
-    let (mut split, mut lm, mut rm) =
-        crack_two_keyed_measured(kseg, hseg, seg, dim, env.mode, mid, env.simd_crack);
+    let (mut split, mut lm, mut rm) = crack_two_keyed_measured(kseg, hseg, seg, dim, env.mode, mid);
     let mut split_value = mid;
     if split == 0 || split == seg.len() {
         // Midpoint failed to separate — rank-based fallback (rare: only on
         // degenerate value distributions). The measuring kernel returns
         // both halves' bounds from its final partition pass, so no
         // re-scan of the halves is needed here either.
-        let (msplit, mlm, mrm) =
-            crack_median_keyed_measured(kseg, hseg, seg, dim, env.mode, env.simd_crack);
+        let (msplit, mlm, mrm) = crack_median_keyed_measured(kseg, hseg, seg, dim, env.mode);
         if msplit == 0 || msplit == seg.len() {
             out.push(force_refine(data, s, rt));
             return;
@@ -276,7 +268,6 @@ pub(crate) fn refine<const D: usize>(
                 env.mode,
                 ql,
                 qu,
-                env.simd_crack,
             );
             record_crack(rt, seg_len);
             let (b, m1, m2, e) = (s.begin, s.begin + p1, s.begin + p2, s.end);
@@ -293,7 +284,6 @@ pub(crate) fn refine<const D: usize>(
                 dim,
                 env.mode,
                 ql,
-                env.simd_crack,
             );
             record_crack(rt, seg_len);
             let m = s.begin + p;
@@ -311,7 +301,6 @@ pub(crate) fn refine<const D: usize>(
                 dim,
                 env.mode,
                 pivot,
-                env.simd_crack,
             );
             record_crack(rt, seg_len);
             let m = s.begin + p;

@@ -789,7 +789,6 @@ pub(crate) fn load<const D: usize>(bytes: Vec<u8>) -> Result<Quasii<D>, Snapshot
             mode: cfg.assign_by,
             max_artificial_depth: cfg.max_artificial_depth,
             simd: cfg.simd.resolve(),
-            simd_crack: cfg.simd.resolve_crack(),
         },
         rt,
         cfg,

@@ -570,7 +570,7 @@ impl<const D: usize> ShardedQuasii<D> {
         Ok((m, shard_bufs))
     }
 
-    /// Revives a deployment from [`write_snapshot_parts`] output. Every
+    /// Revives a deployment from [`Self::write_snapshot_parts`] output. Every
     /// shard buffer is verified against the manifest's length/checksum
     /// table (buffers must arrive in shard order), then loaded through the
     /// engine's own validated snapshot path; the reloaded deployment

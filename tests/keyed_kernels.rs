@@ -1,29 +1,23 @@
 //! Property-based equivalence of the keyed crack kernels (narrow-column
-//! scans, PR 4) against the record-streaming kernels they replaced, which
-//! are kept in `quasii::crack::reference` as the oracle.
+//! scans) against the record-streaming kernels they replaced, which are
+//! kept in `quasii::crack::reference` as the oracle.
 //!
 //! For arbitrary segments (including heavy key ties), arbitrary pivots and
 //! every [`AssignBy`] mode, the keyed kernels must reproduce the oracle's
-//! **split points and physical record order bit-for-bit**, its per-segment
-//! measurements, and leave the `(keys, his)` column pair in lockstep with
-//! the permuted records. The engine-level consequences (identical results,
-//! permutations and stats across threads/batches/shards) are covered by the
-//! existing suites in `tests/{batch,shard}.rs` — the kernels proven
-//! equivalent here are the only reorganization primitives the engine calls.
+//! **split points and physical record order bit-for-bit**, return
+//! per-segment measurements equal to a [`DimBounds::of`] re-scan of the
+//! oracle's output (and to the crack dimension of its exact MBB), and
+//! leave the `(keys, his)` column pair in lockstep with the permuted
+//! records. The engine-level consequences (identical results, permutations
+//! and stats across threads/batches/shards) are covered by the existing
+//! suites in `tests/{batch,shard}.rs` — the kernels proven equivalent here
+//! are the only reorganization primitives the engine calls.
 
 use proptest::prelude::*;
 use quasii::crack::{self, key_of, reference, DimBounds};
 use quasii::keys::rekey;
-use quasii::{AssignBy, SimdLevel, SimdPolicy};
+use quasii::AssignBy;
 use quasii_suite::prelude::*;
-
-/// The kernel generation under test: the engine's own resolution, so the
-/// CI matrix (auto + `QUASII_SIMD=scalar`) runs this suite against both the
-/// vector and the oracle kernels. Cross-level equivalence is proven
-/// separately (`tests/simd.rs` and the in-crate kernel tests).
-fn lv() -> SimdLevel {
-    SimdPolicy::default().resolve()
-}
 
 /// Segments with deliberately coarse coordinates so duplicate assignment
 /// keys (the Dutch-flag middle class, degenerate splits) appear often.
@@ -86,12 +80,26 @@ fn exact_mbb(seg: &[Record<3>]) -> Aabb<3> {
     mbb
 }
 
+/// Asserts `got` equals the oracle's re-measurement of `seg`: a
+/// [`DimBounds::of`] re-scan, whose interval is also the crack dimension
+/// of the segment's exact MBB.
+fn assert_measured(
+    got: DimBounds,
+    seg: &[Record<3>],
+    dim: usize,
+    mode: AssignBy,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got, DimBounds::of(seg, dim, mode));
+    let mbb = exact_mbb(seg);
+    prop_assert_eq!((got.min_lo, got.max_hi), (mbb.lo[dim], mbb.hi[dim]));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Two-way: keyed ≡ record-streaming for split point, permutation,
-    /// measurements (the oracle's `SegMeasure` viewed per dimension), the
-    /// lazily derived exact MBBs, and column lockstep.
+    /// Two-way: keyed ≡ record-streaming for split point and permutation;
+    /// measurements equal the oracle's re-scan; columns stay in lockstep.
     #[test]
     fn two_way_keyed_equals_reference(
         seg in arb_segment(),
@@ -104,27 +112,14 @@ proptest! {
         let mut keyed = seg.clone();
         let mut plain = seg;
         let (p, l, r) = crack::crack_two_keyed_measured(
-            &mut keys, &mut his, &mut keyed, dim, mode, pivot, lv(),
+            &mut keys, &mut his, &mut keyed, dim, mode, pivot,
         );
-        let (p_ref, l_ref, r_ref) =
-            reference::crack_two_measured(&mut plain, dim, mode, pivot);
+        let p_ref = reference::crack_two(&mut plain, dim, mode, pivot);
         prop_assert_eq!(p, p_ref, "split point diverged");
         prop_assert_eq!(&keyed, &plain, "physical order diverged");
-        prop_assert_eq!(l, l_ref.dim_bounds(dim));
-        prop_assert_eq!(r, r_ref.dim_bounds(dim));
-        // The engine derives exact MBBs lazily for refined (≤ τ) outputs;
-        // they must equal what the fused oracle measured in crack order.
-        prop_assert_eq!(exact_mbb(&keyed[..p]), l_ref.mbb);
-        prop_assert_eq!(exact_mbb(&keyed[p..]), r_ref.mbb);
+        assert_measured(l, &plain[..p], dim, mode)?;
+        assert_measured(r, &plain[p..], dim, mode)?;
         assert_lockstep(&keys, &his, &keyed, dim, mode)?;
-
-        // Unmeasured keyed variant produces the identical partition.
-        let (mut k2, mut h2) = columns_of(&plain, dim, mode);
-        let mut keyed2 = plain.clone();
-        let p2 = crack::crack_two_keyed(&mut k2, &mut h2, &mut keyed2, pivot);
-        let p2_ref = reference::crack_two(&mut plain, dim, mode, pivot);
-        prop_assert_eq!(p2, p2_ref);
-        prop_assert_eq!(keyed2, plain);
     }
 
     /// Three-way (Dutch flag): keyed ≡ record-streaming, same contract.
@@ -142,32 +137,21 @@ proptest! {
         let mut keyed = seg.clone();
         let mut plain = seg;
         let (p1, p2, m) = crack::crack_three_keyed_measured(
-            &mut keys, &mut his, &mut keyed, dim, mode, low, high, lv(),
+            &mut keys, &mut his, &mut keyed, dim, mode, low, high,
         );
-        let (r1, r2, m_ref) =
-            reference::crack_three_measured(&mut plain, dim, mode, low, high);
+        let (r1, r2) = reference::crack_three(&mut plain, dim, mode, low, high);
         prop_assert_eq!((p1, p2), (r1, r2), "split points diverged");
         prop_assert_eq!(&keyed, &plain, "physical order diverged");
-        for (got, want) in m.iter().zip(&m_ref) {
-            prop_assert_eq!(*got, want.dim_bounds(dim));
-        }
-        prop_assert_eq!(exact_mbb(&keyed[..p1]), m_ref[0].mbb);
-        prop_assert_eq!(exact_mbb(&keyed[p1..p2]), m_ref[1].mbb);
-        prop_assert_eq!(exact_mbb(&keyed[p2..]), m_ref[2].mbb);
+        assert_measured(m[0], &plain[..p1], dim, mode)?;
+        assert_measured(m[1], &plain[p1..p2], dim, mode)?;
+        assert_measured(m[2], &plain[p2..], dim, mode)?;
         assert_lockstep(&keys, &his, &keyed, dim, mode)?;
-
-        let (mut k2, mut h2) = columns_of(&plain, dim, mode);
-        let mut keyed2 = plain.clone();
-        let (q1, q2) =
-            crack::crack_three_keyed(&mut k2, &mut h2, &mut keyed2, low, high, lv());
-        let (s1, s2) = reference::crack_three(&mut plain, dim, mode, low, high);
-        prop_assert_eq!((q1, q2), (s1, s2));
-        prop_assert_eq!(keyed2, plain);
     }
 
     /// Rank-based fallback: keyed ≡ record-streaming (same `select_nth`
     /// comparator, then equivalent partitions), including the degenerate
-    /// all-equal-keys outcome (split 0).
+    /// all-equal-keys outcome (split 0). Measurements are only defined for
+    /// an interior split, where the engine reads them.
     #[test]
     fn median_keyed_equals_reference(
         seg in arb_segment(),
@@ -177,10 +161,15 @@ proptest! {
         let (mut keys, mut his) = columns_of(&seg, dim, mode);
         let mut keyed = seg.clone();
         let mut plain = seg;
-        let p = crack::crack_median_keyed(&mut keys, &mut his, &mut keyed, dim, mode);
+        let (p, l, r) =
+            crack::crack_median_keyed_measured(&mut keys, &mut his, &mut keyed, dim, mode);
         let p_ref = reference::crack_median(&mut plain, dim, mode);
         prop_assert_eq!(p, p_ref);
         prop_assert_eq!(&keyed, &plain);
+        if 0 < p && p < plain.len() {
+            assert_measured(l, &plain[..p], dim, mode)?;
+            assert_measured(r, &plain[p..], dim, mode)?;
+        }
         assert_lockstep(&keys, &his, &keyed, dim, mode)?;
     }
 
@@ -226,28 +215,22 @@ fn degenerate_all_equal_keys_segment() {
             let (mut keys, mut his) = columns_of(&seg, 0, mode);
             let mut keyed = seg.clone();
             let mut plain = seg.clone();
-            let (p, l, r) = crack::crack_two_keyed_measured(
-                &mut keys,
-                &mut his,
-                &mut keyed,
-                0,
-                mode,
-                pivot,
-                lv(),
-            );
-            let (p_ref, l_ref, r_ref) = reference::crack_two_measured(&mut plain, 0, mode, pivot);
+            let (p, l, r) =
+                crack::crack_two_keyed_measured(&mut keys, &mut his, &mut keyed, 0, mode, pivot);
+            let p_ref = reference::crack_two(&mut plain, 0, mode, pivot);
             assert_eq!(p, p_ref);
             assert_eq!(keyed, plain);
-            assert_eq!(l, l_ref.dim_bounds(0));
-            assert_eq!(r, r_ref.dim_bounds(0));
+            assert_eq!(l, DimBounds::of(&plain[..p], 0, mode));
+            assert_eq!(r, DimBounds::of(&plain[p..], 0, mode));
         }
         let k = key_of(&seg[0], 0, mode);
         let (mut keys, mut his) = columns_of(&seg, 0, mode);
         let mut keyed = seg.clone();
         let (p1, p2, _) =
-            crack::crack_three_keyed_measured(&mut keys, &mut his, &mut keyed, 0, mode, k, k, lv());
+            crack::crack_three_keyed_measured(&mut keys, &mut his, &mut keyed, 0, mode, k, k);
         assert_eq!((p1, p2), (0, 50), "middle swallows the identical keys");
-        let p = crack::crack_median_keyed(&mut keys, &mut his, &mut keyed, 0, mode);
+        let (p, _, _) =
+            crack::crack_median_keyed_measured(&mut keys, &mut his, &mut keyed, 0, mode);
         assert_eq!(p, 0, "value-indivisible segment");
     }
 }
@@ -257,19 +240,8 @@ fn empty_segments_are_no_ops() {
     let mut keys: Vec<f64> = vec![];
     let mut his: Vec<f64> = vec![];
     let mut recs: Vec<Record<3>> = vec![];
-    assert_eq!(
-        crack::crack_two_keyed(&mut keys, &mut his, &mut recs, 1.0),
-        0
-    );
-    let (p, l, r) = crack::crack_two_keyed_measured(
-        &mut keys,
-        &mut his,
-        &mut recs,
-        0,
-        AssignBy::Lower,
-        1.0,
-        lv(),
-    );
+    let (p, l, r) =
+        crack::crack_two_keyed_measured(&mut keys, &mut his, &mut recs, 0, AssignBy::Lower, 1.0);
     assert_eq!(p, 0);
     assert_eq!((l, r), (DimBounds::empty(), DimBounds::empty()));
     let (p1, p2, m) = crack::crack_three_keyed_measured(
@@ -280,12 +252,10 @@ fn empty_segments_are_no_ops() {
         AssignBy::Lower,
         0.0,
         1.0,
-        lv(),
     );
     assert_eq!((p1, p2), (0, 0));
     assert!(m.iter().all(|b| *b == DimBounds::empty()));
-    assert_eq!(
-        crack::crack_median_keyed(&mut keys, &mut his, &mut recs, 0, AssignBy::Lower),
-        0
-    );
+    let (p, l, r) =
+        crack::crack_median_keyed_measured(&mut keys, &mut his, &mut recs, 0, AssignBy::Lower);
+    assert_eq!((p, l, r), (0, DimBounds::empty(), DimBounds::empty()));
 }

@@ -13,7 +13,8 @@ use proptest::prelude::*;
 use quasii_suite::prelude::*;
 use quasii_suite::quasii_obs as obs;
 
-/// Serializes tests that flip the global metrics/tracing switches.
+/// Serializes tests that flip the global metrics/tracing switches or read
+/// registry counters another test may reset.
 static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn arb_box3() -> impl Strategy<Value = Aabb<3>> {
@@ -153,6 +154,9 @@ fn enabled_run_populates_registry_and_exposition_parses() {
 /// the signal `verify`/`recover`/faulted `snapshot` surface in the CLI.
 #[test]
 fn fsx_commit_counter_is_always_on() {
+    // The other tests `reset()` the registry, which would zero the counter
+    // between the two reads below.
+    let _g = OBS_LOCK.lock().unwrap();
     let before = obs::registry::FSX_COMMITS_TOTAL.get();
     let dir = std::env::temp_dir().join(format!("quasii-obs-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

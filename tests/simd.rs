@@ -1,15 +1,17 @@
-//! Engine-level byte-identity of the vectorized kernels (PR 9) against the
-//! forced-scalar oracle.
+//! Engine-level byte-identity of the vectorized streaming kernels against
+//! the forced-scalar oracle.
 //!
 //! The kernel-level equivalence proofs live next to the kernels
-//! (`quasii::simd` unit tests) and in `tests/keyed_kernels.rs`; this suite
-//! closes the loop at the **engine** level: two engines that differ *only*
-//! in their [`SimdPolicy`] — one forced to the scalar oracle, one forced to
-//! the best level the host detects — must produce byte-identical query
+//! (`quasii::simd` unit tests); this suite closes the loop at the
+//! **engine** level: two engines that differ *only* in their
+//! [`SimdPolicy`] — one forced to the scalar oracle, one forced to the
+//! best level the host detects — must produce byte-identical query
 //! results, byte-identical cumulative [`Quasii::stats`], and byte-identical
-//! snapshots (the snapshot serializes the physical record permutation and
-//! every slice boundary, so snapshot equality proves the vector cracks
-//! performed the *exact same swap sequence* as the scalar ones).
+//! snapshots (the snapshot serializes the physical record permutation,
+//! every slice boundary and every sealed column). The partition kernels
+//! are scalar under every policy, so the policy may change only how the
+//! sealed lane tests and the bottom-level collect compute their answers,
+//! never the index they build.
 //!
 //! On a host without SSE2/AVX2 the "vector" side clamps to scalar and the
 //! suite degenerates to scalar-vs-scalar — still a valid (if trivial) run,
@@ -17,9 +19,9 @@
 //!
 //! The generators use coarse integer-derived coordinates, so segments hit
 //! heavy key ties, odd (non-lane-multiple) lengths, and unaligned chunk
-//! remainders; `-0.0` never appears (the vector fold min/max and the scalar
-//! fold can legitimately disagree on the *sign* of a zero bound, a
-//! documented non-goal — see `quasii::simd`).
+//! remainders, and they pin some boxes to the zero corner with both zero
+//! signs, so cracks fold `-0.0`/`+0.0` ties into slice bounds — snapshot
+//! bytes must still match.
 
 use proptest::prelude::*;
 use quasii::{AssignBy, SimdLevel, SimdPolicy};
@@ -42,6 +44,23 @@ fn arb_mode() -> impl Strategy<Value = AssignBy> {
         1 => AssignBy::Center,
         _ => AssignBy::Upper,
     })
+}
+
+/// Pins every `stride`-th record to the zero corner: its lower bounds
+/// become `-0.0` or `+0.0` (the sign alternates across records and
+/// dimensions), and every other pinned record collapses to a point there,
+/// so `-0.0`/`+0.0` key ties appear in every assignment mode.
+fn with_signed_zeros(mut data: Vec<Record<3>>, stride: usize) -> Vec<Record<3>> {
+    for (j, r) in data.iter_mut().step_by(stride.max(1)).enumerate() {
+        for k in 0..3 {
+            let z = if (j / 2 + k) % 2 == 0 { -0.0 } else { 0.0 };
+            r.mbb.lo[k] = z;
+            if j % 2 == 0 {
+                r.mbb.hi[k] = z;
+            }
+        }
+    }
+    data
 }
 
 /// One engine per policy, identical in every other respect.
@@ -109,12 +128,13 @@ proptest! {
         threads in 1usize..3,
         seal in (0usize..2).prop_map(|i| i == 1),
         batch in 1usize..9,
+        zero_stride in 2usize..6,
         queries in prop::collection::vec(
             (0.0..90.0f64, 0.0..90.0f64, 0.0..90.0f64, 1.0..40.0f64),
             1..10,
         ),
     ) {
-        let data = dataset::uniform_boxes_in::<3>(n, 100.0, seed);
+        let data = with_signed_zeros(dataset::uniform_boxes_in::<3>(n, 100.0, seed), zero_stride);
         let qs: Vec<Aabb<3>> = queries
             .iter()
             .map(|&(x, y, z, w)| Aabb::new([x, y, z], [x + w, y + w, z + w]))
@@ -133,12 +153,13 @@ proptest! {
         n in 1usize..400,
         mode in arb_mode(),
         threads in 1usize..3,
+        zero_stride in 2usize..6,
         queries in prop::collection::vec(
             (0.0..90.0f64, 0.0..90.0f64, 0.0..90.0f64, 1.0..40.0f64),
             1..10,
         ),
     ) {
-        let data = dataset::uniform_boxes_in::<3>(n, 100.0, seed);
+        let data = with_signed_zeros(dataset::uniform_boxes_in::<3>(n, 100.0, seed), zero_stride);
         let qs: Vec<Aabb<3>> = queries
             .iter()
             .map(|&(x, y, z, w)| Aabb::new([x, y, z], [x + w, y + w, z + w]))
@@ -161,26 +182,35 @@ proptest! {
 
 /// Degenerate all-equal keys: every record identical, so every crack pass
 /// hits the value-indivisible guard and three-way middles swallow whole
-/// segments — the nastiest tie-handling path for a classify-based kernel.
+/// segments. The second dataset pins every record to the zero corner, so
+/// all keys tie at `-0.0`/`+0.0`.
 #[test]
 fn degenerate_all_equal_records_stay_identical() {
-    let data: Vec<Record<3>> = (0..257)
+    let sevens: Vec<Record<3>> = (0..257)
         .map(|i| Record::new(i, Aabb::new([7.0; 3], [9.0; 3])))
         .collect();
+    let zeros = with_signed_zeros(sevens.clone(), 1);
     let qs = [
-        Aabb::new([0.0; 3], [5.0; 3]),   // miss below
+        Aabb::new([0.0; 3], [5.0; 3]),   // miss below the sevens
         Aabb::new([8.0; 3], [8.5; 3]),   // hit inside
         Aabb::new([10.0; 3], [20.0; 3]), // miss above
     ];
-    for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
-        for seal in [false, true] {
-            let (mut scalar, mut vector) = pair(&data, 4, mode, 1, seal);
-            for q in &qs {
-                assert_eq!(scalar.query_collect(q), vector.query_collect(q));
+    for data in [&sevens, &zeros] {
+        for mode in [AssignBy::Lower, AssignBy::Center, AssignBy::Upper] {
+            for seal in [false, true] {
+                let (mut scalar, mut vector) = pair(data, 4, mode, 1, seal);
+                for q in &qs {
+                    assert_eq!(scalar.query_collect(q), vector.query_collect(q));
+                }
+                assert_eq!(scalar.stats(), vector.stats());
+                scalar.validate().unwrap();
+                vector.validate().unwrap();
+                assert_eq!(
+                    scalar.write_snapshot().unwrap(),
+                    vector.write_snapshot().unwrap(),
+                    "snapshot bytes diverged ({mode:?}, seal {seal})"
+                );
             }
-            assert_eq!(scalar.stats(), vector.stats());
-            scalar.validate().unwrap();
-            vector.validate().unwrap();
         }
     }
 }
@@ -190,7 +220,7 @@ fn degenerate_all_equal_records_stay_identical() {
 /// policy is a host property, never index state.
 #[test]
 fn snapshots_cross_isa_boundaries() {
-    let data = dataset::uniform_boxes_in::<3>(500, 100.0, 11);
+    let data = with_signed_zeros(dataset::uniform_boxes_in::<3>(500, 100.0, 11), 3);
     let qs: Vec<Aabb<3>> = (0..16)
         .map(|i| {
             let v = 6.0 * i as f64;
