@@ -57,6 +57,7 @@
 use crate::engine;
 use crate::exec;
 use crate::fence::KeyFences;
+use crate::seal::Scan;
 use crate::slice::Slice;
 use crate::stats::QuasiiStats;
 use crate::{EnginePoisoned, Quasii};
@@ -88,9 +89,9 @@ fn trap_check(trap: Option<usize>, j: usize) {
     }
 }
 
-/// Partitions per worker thread, so stragglers (a partition that happens
-/// to hold the hot slices) rebalance onto idle workers instead of
-/// serializing the batch.
+/// Partitions (crack phase) or job chunks (sealed phase) per worker
+/// thread, so stragglers (a partition that happens to hold the hot slices)
+/// rebalance onto idle workers instead of serializing the batch.
 const CHUNKS_PER_WORKER: usize = 4;
 
 /// One shared-read job: a query whose candidate window is wholly sealed,
@@ -385,7 +386,11 @@ impl<const D: usize> Quasii<D> {
     }
 
     /// Phase-1 executor: answers `jobs` entirely through the sealed
-    /// arenas, as `&self` executor jobs. Each query's result vector is
+    /// arenas. The executor gets contiguous chunks of jobs
+    /// ([`CHUNKS_PER_WORKER`] per thread); inside a chunk, query `i + 1` is
+    /// planned — and its lines prefetched — before query `i` is scanned,
+    /// so the next query's loads overlap this one's scan, and two plan
+    /// buffers serve the whole chunk. Each query's result vector is
     /// computed independently of scheduling, so results are byte-identical
     /// for every thread count.
     fn run_sealed_batch(
@@ -398,14 +403,23 @@ impl<const D: usize> Quasii<D> {
         trap: Option<usize>,
     ) {
         let this: &Quasii<D> = self;
-        let outcome = exec::for_each_mut(threads, &mut jobs, |_, job| {
-            trap_check(trap, job.j);
-            job.tested = this.run_sealed_query(
-                &queries[job.j],
-                &extended[job.j],
-                job.cand.clone(),
-                &mut job.out,
-            );
+        let per_chunk = jobs.len().div_ceil(threads * CHUNKS_PER_WORKER);
+        let mut chunks: Vec<&mut [SealedJob]> = jobs.chunks_mut(per_chunk).collect();
+        let outcome = exec::for_each_mut(threads, &mut chunks, |_, chunk| {
+            let plan = |job: &SealedJob, into: &mut Vec<Scan<D>>| {
+                this.plan_sealed_query(&queries[job.j], &extended[job.j], job.cand.clone(), into);
+            };
+            let (mut cur, mut next) = (Vec::new(), Vec::new());
+            plan(&chunk[0], &mut cur);
+            for i in 0..chunk.len() {
+                if let Some(job) = chunk.get(i + 1) {
+                    plan(job, &mut next);
+                }
+                let job = &mut chunk[i];
+                trap_check(trap, job.j);
+                job.tested = this.scan_sealed_plan(&queries[job.j], &cur, &mut job.out);
+                std::mem::swap(&mut cur, &mut next);
+            }
         });
         let count = jobs.len() as u64;
         let mut tested_total = 0u64;
@@ -754,6 +768,57 @@ mod tests {
             got.sort_unstable();
             assert_matches_brute_force(&data, q, &got);
         }
+    }
+
+    /// The sealed phase hands the executor contiguous job chunks and
+    /// pipelines plans inside each: batches of one, two, and one job
+    /// around each chunk boundary answer exactly like the same queries run
+    /// one by one, and a trap on a job in the middle of a chunk poisons
+    /// the engine and names that query.
+    #[test]
+    fn sealed_batches_across_chunk_boundaries_equal_one_by_one() {
+        let data = uniform_boxes_in::<3>(6_000, 1_000.0, 83);
+        let u = Aabb::new([0.0; 3], [1_000.0; 3]);
+        let queries = workload::uniform(&u, 40, 1e-3, 84).queries;
+        let threads = 2;
+        let chunks = threads * super::CHUNKS_PER_WORKER;
+        let cfg = QuasiiConfig::with_tau(16).with_threads(threads);
+        let mut idx = Quasii::new(data.clone(), cfg.clone());
+        idx.finalize();
+        idx.seal();
+        assert_eq!(idx.sealed_fraction(), 1.0);
+        let one_by_one: Vec<Vec<u64>> = queries.iter().map(|q| idx.query_collect(q)).collect();
+        let mut oracle = Quasii::new(data, cfg.with_seal(false));
+        oracle.finalize();
+        for (q, hits) in queries.iter().zip(&one_by_one) {
+            assert_eq!(&oracle.query_collect(q), hits);
+        }
+        let (c, c2) = (chunks, 2 * chunks);
+        for n in [1, 2, c - 1, c, c + 1, c2 - 1, c2, c2 + 1] {
+            let before = idx.seal_stats().sealed_queries;
+            assert_eq!(
+                idx.execute_batch(&queries[..n]),
+                one_by_one[..n],
+                "batch of {n}"
+            );
+            assert_eq!(idx.seal_stats().sealed_queries - before, n as u64);
+        }
+
+        // 17 jobs over 8 chunks: chunks of 3, so job 4 is mid-chunk.
+        let n = 2 * chunks + 1;
+        assert_eq!(n.div_ceil(chunks), 3);
+        idx.inject_panic_at(4);
+        let err = idx
+            .try_execute_batch(&queries[..n])
+            .expect_err("injected panic must fail the batch");
+        assert!(err.detail.contains("sealed batch phase"), "{err}");
+        assert!(
+            err.detail.contains("injected worker panic at query 4"),
+            "{err}"
+        );
+        assert!(idx.is_poisoned());
+        assert_eq!(idx.repair(), crate::RepairOutcome::Revalidated);
+        assert_eq!(idx.execute_batch(&queries[..n]), one_by_one[..n]);
     }
 
     #[test]

@@ -64,7 +64,7 @@ use engine::{Env, Runtime};
 use quasii_common::geom::{Aabb, Record};
 use quasii_common::index::SpatialIndex;
 use quasii_obs as obs;
-use seal::SealedRegion;
+use seal::{Scan, SealedRegion};
 use slice::Slice;
 use std::fmt;
 use std::ops::Range;
@@ -628,21 +628,22 @@ impl<const D: usize> Quasii<D> {
         self.mark_seal_dirty(lo, hi);
     }
 
-    /// Answers a query known to fall entirely within sealed regions,
-    /// reproducing `query_level`'s root-level loop (bounding-box skip
-    /// included) and descending through the arenas. Returns the number of
-    /// objects tested at the bottom level.
-    pub(crate) fn run_sealed_query(
+    /// The plan step of a sealed read (see the `seal` module): reproduces
+    /// `query_level`'s root-level loop (bounding-box skip included), fills
+    /// `plan` (cleared first) with every candidate region's [`Scan`]
+    /// entries in emission order, and prefetches each entry's id and
+    /// active-lane lines.
+    pub(crate) fn plan_sealed_query(
         &self,
         q: &Aabb<D>,
         qe: &Aabb<D>,
         cand: Range<usize>,
-        out: &mut Vec<u64>,
-    ) -> u64 {
-        let mut tested = 0;
+        plan: &mut Vec<Scan<D>>,
+    ) {
+        plan.clear();
         debug_assert_eq!(cand, self.root_candidates(qe));
         if cand.is_empty() {
-            return 0;
+            return;
         }
         // Seals are sorted by range like the root list, so one binary
         // search positions a cursor that then advances in lockstep with
@@ -663,12 +664,32 @@ impl<const D: usize> Quasii<D> {
                 // The whole region qualifies: one contiguous id copy (see
                 // `SealedRegion::walk` for why this equals the full
                 // descent's output and tested count).
-                tested += region.emit_all(out);
+                Scan::push(plan, Scan::all(cursor, region.records()));
             } else {
-                tested += region.run(q, qe, out, self.env.simd);
+                region.plan(cursor, q, qe, plan);
             }
         }
-        tested
+        for s in plan.iter() {
+            self.seals[s.region].prefetch(s);
+        }
+    }
+
+    /// The scan step of a sealed read: reserves `out` once for the sum of
+    /// the entry lengths (an upper bound on the hits), then runs `plan`'s
+    /// entries in order. Returns the number of objects tested at the
+    /// bottom level — that same sum.
+    pub(crate) fn scan_sealed_plan(
+        &self,
+        q: &Aabb<D>,
+        plan: &[Scan<D>],
+        out: &mut Vec<u64>,
+    ) -> u64 {
+        let tested: usize = plan.iter().map(Scan::len).sum();
+        out.reserve(tested);
+        for s in plan {
+            self.seals[s.region].scan_range(s, q, out, self.env.simd);
+        }
+        tested as u64
     }
 
     /// Query extension (§5.2): reorganization must consider the query grown
@@ -772,8 +793,9 @@ impl<const D: usize> SpatialIndex<D> for Quasii<D> {
                     obs::registry::QUERIES_TOTAL.inc();
                     obs::registry::SEALED_QUERIES_TOTAL.inc();
                 }
-                let tested = self.run_sealed_query(query, &qe, cand, out);
-                self.rt.stats.objects_tested += tested;
+                let mut plan = Vec::new();
+                self.plan_sealed_query(query, &qe, cand, &mut plan);
+                self.rt.stats.objects_tested += self.scan_sealed_plan(query, &plan, out);
                 return;
             }
             self.mark_window_dirty(cand);

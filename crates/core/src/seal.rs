@@ -23,7 +23,7 @@
 //!   et al., "Database Cracking: Fancy Scan, Not Poor Man's Sort!", DaMoN
 //!   2014) instead of striding 56-byte records — and the leaf's exact
 //!   bounding box decides most lane tests wholesale (see
-//!   [`SealedRegion::walk`]).
+//!   [`SealedRegion::plan`]).
 //!
 //! # One blob per region — position independence
 //!
@@ -71,12 +71,35 @@
 //! window dirty, so the next sweep checks the slices it may have
 //! converged; nothing is ever unsealed (`SealStats::unseals` stays `0`).
 //!
-//! [`SealedRegion::run`] reproduces, operation for operation, the traversal
-//! the engine's `query_level`/`descend` would perform over the same
-//! converged subtree — same partition-point probe, same "step one back"
-//! rule, same break/skip conditions, same bottom-level scan order — so its
-//! output is **byte-identical** to the unsealed engine's (`tests/sealed.rs`
-//! proves it property-based, with the sealing-disabled engine as oracle).
+//! # Plan, prefetch, scan
+//!
+//! A sealed read runs in three steps (driven by `Quasii::plan_sealed_query`
+//! and `Quasii::scan_sealed_plan`):
+//!
+//! 1. **Plan.** [`SealedRegion::plan`] walks the arena metadata and appends
+//!    one [`Scan`] entry per run of records the walk emits: a boundary
+//!    leaf with its undecided lane tests, a contained node (or a whole
+//!    contained region, [`Scan::all`]) with none. Adjacent entries that
+//!    need the same tests fuse into one. The walk reproduces, operation for
+//!    operation, the traversal the engine's `query_level`/`descend` would
+//!    perform over the same converged subtree — same partition-point
+//!    probe, same "step one back" rule, same break/skip conditions — and
+//!    the entries keep its emission order. Each entry's id lines and
+//!    active-lane lines are then prefetched ([`SealedRegion::prefetch`]).
+//! 2. **Reserve.** The answer is reserved once for the sum of the entry
+//!    lengths: an upper bound on the hits, and also the tested count.
+//! 3. **Scan.** [`SealedRegion::scan_range`] runs the entries in order. A
+//!    zero-test entry is one id copy; an entry with `K` active lanes runs
+//!    [`simd::scan_emit`]`::<K>` for every `K` up to 8 (`2 × D` for
+//!    `D ≤ 4`) on every kernel tier; only `D > 4` can need more lanes,
+//!    which a masked chunk loop handles.
+//!
+//! A batch plans query `i + 1` before it scans query `i`, so one query's
+//! lanes load while the previous query is scanned (group prefetching; cf.
+//! Kocberber et al., "Asynchronous Memory Access Chaining", VLDB 2015).
+//! The output is **byte-identical** to the unsealed engine's
+//! (`tests/sealed.rs` proves it property-based, with the sealing-disabled
+//! engine as oracle).
 
 use crate::persist::AlignedBytes;
 use crate::simd::{self, SimdLevel};
@@ -482,31 +505,23 @@ impl<const D: usize> SealedRegion<D> {
         self.blob_len + self.levels.capacity() * std::mem::size_of::<LevelView>()
     }
 
-    /// Emits every id in the region (the caller proved `q` contains the
-    /// region root's bounding box, so the whole subtree qualifies — one
-    /// contiguous copy instead of a per-leaf walk). Returns the objects
-    /// "tested" (all of them — the bbox proof decided each record's test).
-    pub fn emit_all(&self, out: &mut Vec<u64>) -> u64 {
-        let ids = self.ids();
-        out.extend(ids.iter().map(|&id| id as u64));
-        ids.len() as u64
-    }
-
-    /// Answers `q` over the region, appending matching ids to `out` in
-    /// data-array order; returns the number of objects tested at the bottom
-    /// level (the engine's `objects_tested` contribution). The caller has
+    /// Plans `q` over the region: appends the [`Scan`] entries of the
+    /// region's walk to `plan`, in emission order, tagged with `region`
+    /// (the region's index in the engine's seal list). The caller has
     /// already applied the root-level checks (`key_lo` window and bounding
     /// box) to the region's root slice, exactly as `query_level` does
-    /// before descending a refined top-level slice (and takes
-    /// [`emit_all`](Self::emit_all) when `q` contains the root box).
-    /// `level` selects the lane-test kernel generation (see
-    /// [`crate::simd`]); results are identical for every level.
-    pub fn run(&self, q: &Aabb<D>, qe: &Aabb<D>, out: &mut Vec<u64>, level: SimdLevel) -> u64 {
+    /// before descending a refined top-level slice, and plans
+    /// [`Scan::all`] instead when `q` contains the root box.
+    pub fn plan(&self, region: usize, q: &Aabb<D>, qe: &Aabb<D>, plan: &mut Vec<Scan<D>>) {
         if self.levels.is_empty() {
             // D == 1: the region root is the bottom level.
-            self.scan_range(0, self.records(), q, [true; D], [true; D], out, level)
+            plan.push(Scan {
+                test_lo: [true; D],
+                test_hi: [true; D],
+                ..Scan::all(region, self.records())
+            });
         } else {
-            self.walk(0, 0, self.levels[0].len, q, qe, out, level)
+            self.walk(region, 0, 0, self.levels[0].len, q, qe, plan);
         }
     }
 
@@ -514,36 +529,30 @@ impl<const D: usize> SealedRegion<D> {
     /// level `idx + 1`), reproducing `query_level`'s candidate selection —
     /// the partition-point probe on the minimum-key column with the "step
     /// one back" rule, the sorted-key break, and the bounding-box skip —
-    /// with one shortcut the arena's exact boxes make sound: a node whose
-    /// bounding box is *contained* in `q` emits its whole record range as a
-    /// contiguous id copy (every descendant's box is inside the node's box,
-    /// and a record inside `q`'s interval on a dimension passes that
-    /// dimension's intersection test by construction), which is exactly the
-    /// id sequence, order, and tested count the full descent would produce.
+    /// and plans instead of scanning: a boundary leaf becomes an entry
+    /// with its undecided lane tests, a node whose bounding box is
+    /// *contained* in `q` an entry with none (every descendant's box is
+    /// inside the node's box, and a record inside `q`'s interval on a
+    /// dimension passes that dimension's intersection test by
+    /// construction), which is exactly the id sequence, order, and tested
+    /// count the full descent would produce.
     #[allow(clippy::too_many_arguments)]
     fn walk(
         &self,
+        region: usize,
         idx: usize,
         lo: usize,
         hi: usize,
         q: &Aabb<D>,
         qe: &Aabb<D>,
-        out: &mut Vec<u64>,
-        level: SimdLevel,
-    ) -> u64 {
+        plan: &mut Vec<Scan<D>>,
+    ) {
         let key_col = self.key_lo(idx);
         let metas = self.meta(idx);
         let dim = idx + 1;
         let bottom = dim + 1 == D;
         let keys = &key_col[lo..hi];
         let start = lo + keys.partition_point(|&k| k < qe.lo[dim]).saturating_sub(1);
-        let mut tested = 0u64;
-        // Bottom-level run fusion: consecutive leaves that are contiguous in
-        // record space and need the *same* lane tests collapse into one scan
-        // call (one resize, one lane-loop setup) — per-leaf emission order
-        // and per-record results are unchanged, a skipped leaf in between
-        // breaks contiguity and flushes.
-        let mut run: Option<(usize, usize, [bool; D], [bool; D])> = None;
         for i in start..hi {
             if key_col[i] > qe.hi[dim] {
                 break;
@@ -569,40 +578,40 @@ impl<const D: usize> SealedRegion<D> {
                 continue;
             }
             let undecided = (0..D).any(|d| test_lo[d] || test_hi[d]);
-            let (rb, re) = (node.begin as usize, node.end as usize);
-            if bottom {
-                if !undecided {
-                    // Contained leaf: lane-test-free (scan_range's k == 0
-                    // wholesale-copy path once the run flushes).
-                    (test_lo, test_hi) = ([false; D], [false; D]);
-                }
-                match &mut run {
-                    Some((_, pe, plo, phi)) if *pe == rb && *plo == test_lo && *phi == test_hi => {
-                        *pe = re;
-                    }
-                    _ => {
-                        if let Some((pb, pe, plo, phi)) = run.take() {
-                            tested += self.scan_range(pb, pe, q, plo, phi, out, level);
-                        }
-                        run = Some((rb, re, test_lo, test_hi));
-                    }
-                }
-            } else if !undecided {
-                out.extend(self.ids()[rb..re].iter().map(|&id| id as u64));
-                tested += (re - rb) as u64;
+            if bottom || !undecided {
+                let entry = Scan {
+                    region,
+                    b: node.begin,
+                    e: node.end,
+                    test_lo,
+                    test_hi,
+                };
+                Scan::push(plan, entry);
             } else {
                 let (clo, chi) = (node.child_start as usize, node.child_end as usize);
-                tested += self.walk(idx + 1, clo, chi, q, qe, out, level);
+                self.walk(region, idx + 1, clo, chi, q, qe, plan);
             }
         }
-        if let Some((pb, pe, plo, phi)) = run {
-            tested += self.scan_range(pb, pe, q, plo, phi, out, level);
-        }
-        tested
     }
 
-    /// Bottom-level scan of records `b..e` (region-relative), testing only
-    /// the **undecided** lanes — the caller's bbox classification proves the
+    /// Prefetches every line [`scan_range`](Self::scan_range) will read for
+    /// `s`: its ids and its active lanes.
+    pub fn prefetch(&self, s: &Scan<D>) {
+        let (b, e) = (s.b as usize, s.e as usize);
+        simd::prefetch(&self.ids()[b..e]);
+        for d in 0..D {
+            if s.test_lo[d] {
+                simd::prefetch(&self.rec_lo(d)[b..e]);
+            }
+            if s.test_hi[d] {
+                simd::prefetch(&self.rec_nhi(d)[b..e]);
+            }
+        }
+    }
+
+    /// Runs one plan entry: appends the ids of records `s.b..s.e`
+    /// (region-relative) that pass the entry's lane tests — the
+    /// **undecided** ones: the walk's bbox classification proves the
     /// skipped lanes pass for every record, and the negated upper-bound
     /// column makes every remaining test the uniform `lane[p] <= bound`.
     /// Truth table and output order are identical to the engine's
@@ -610,17 +619,10 @@ impl<const D: usize> SealedRegion<D> {
     /// "fancy scan" form: a boundary leaf usually crosses the query on one
     /// or two dimensions, so the scan streams one or two narrow `f64`
     /// lanes plus the id column instead of striding 56-byte records.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_range(
-        &self,
-        b: usize,
-        e: usize,
-        q: &Aabb<D>,
-        test_lo: [bool; D],
-        test_hi: [bool; D],
-        out: &mut Vec<u64>,
-        level: SimdLevel,
-    ) -> u64 {
+    /// Grows `out` by at most `s.len()` ids, through one `resize` that the
+    /// caller's reservation covers.
+    pub fn scan_range(&self, s: &Scan<D>, q: &Aabb<D>, out: &mut Vec<u64>, level: SimdLevel) {
+        let (b, e) = (s.b as usize, s.e as usize);
         let m = e - b;
         // Gather the active lane tests in normalized `v <= bound` form.
         // `2 × D` tests fit `MAX_LANES` for every practical dimensionality;
@@ -630,118 +632,154 @@ impl<const D: usize> SealedRegion<D> {
         let mut lanes: [&[f64]; MAX_LANES] = [empty; MAX_LANES];
         let mut bounds = [0.0f64; MAX_LANES];
         let mut k = 0usize;
-        let mut overflow = false;
         for d in 0..D {
-            if test_lo[d] {
+            if s.test_lo[d] {
                 if k < MAX_LANES {
                     lanes[k] = &self.rec_lo(d)[b..e];
                     bounds[k] = q.hi[d];
-                    k += 1;
-                } else {
-                    overflow = true;
                 }
+                k += 1;
             }
-            if test_hi[d] {
+            if s.test_hi[d] {
                 if k < MAX_LANES {
                     lanes[k] = &self.rec_nhi(d)[b..e];
                     bounds[k] = -q.lo[d];
-                    k += 1;
-                } else {
-                    overflow = true;
                 }
+                k += 1;
             }
         }
-        let all_ids = self.ids();
+        let ids = &self.ids()[b..e];
         if k == 0 {
-            out.extend(all_ids[b..e].iter().map(|&id| id as u64));
-            return m as u64;
+            out.extend(ids.iter().map(|&id| id as u64));
+            return;
         }
         let start = out.len();
         out.resize(start + m, 0);
-        let ids = &all_ids[b..e];
-        let mut w = start;
-        if overflow {
-            // More than MAX_LANES active tests (D > 4): masked chunk pass
-            // over every active lane.
-            let mut mask = [true; SCAN_CHUNK];
-            let mut base = 0usize;
-            while base < m {
-                let c = SCAN_CHUNK.min(m - base);
-                mask[..c].fill(true);
-                for d in 0..D {
-                    if test_lo[d] {
-                        let qhi = q.hi[d];
-                        let lane = &self.rec_lo(d)[b + base..b + base + c];
-                        for (mk, &v) in mask[..c].iter_mut().zip(lane) {
-                            *mk &= v <= qhi;
-                        }
-                    }
-                    if test_hi[d] {
-                        let nqlo = -q.lo[d];
-                        let lane = &self.rec_nhi(d)[b + base..b + base + c];
-                        for (mk, &v) in mask[..c].iter_mut().zip(lane) {
-                            *mk &= v <= nqlo;
-                        }
-                    }
-                }
-                for (j, &mk) in mask[..c].iter().enumerate() {
-                    out[w] = ids[base + j] as u64;
-                    w += mk as usize;
-                }
-                base += c;
-            }
-        } else {
-            // Fused lane tests for the common lane counts, dispatched through
-            // [`crate::simd::scan_emit`]: the vector kernels run the `v <=
-            // bound` compares four records wide, AND the masks across active
-            // lanes and left-pack the surviving ids; the scalar generation is
-            // the original predicated loop. Emission order is the id order
-            // either way, so the output is byte-identical across levels.
-            match k {
-                1 => {
-                    w = start
-                        + simd::scan_emit::<1>(
-                            level,
-                            ids,
-                            [lanes[0]],
-                            [bounds[0]],
-                            &mut out[start..],
-                        );
-                }
-                2 => {
-                    w = start
-                        + simd::scan_emit::<2>(
-                            level,
-                            ids,
-                            [lanes[0], lanes[1]],
-                            [bounds[0], bounds[1]],
-                            &mut out[start..],
-                        );
-                }
-                3 => {
-                    w = start
-                        + simd::scan_emit::<3>(
-                            level,
-                            ids,
-                            [lanes[0], lanes[1], lanes[2]],
-                            [bounds[0], bounds[1], bounds[2]],
-                            &mut out[start..],
-                        );
-                }
-                _ => {
-                    for (p, &id) in ids.iter().enumerate() {
-                        let mut ok = true;
-                        for t in 0..k {
-                            ok &= lanes[t][p] <= bounds[t];
-                        }
-                        out[w] = id as u64;
-                        w += ok as usize;
-                    }
-                }
-            }
+        let dst = &mut out[start..];
+        // Fused lane tests for every lane count up to `MAX_LANES`,
+        // dispatched through [`crate::simd::scan_emit`]: the vector
+        // kernels run the `v <= bound` compares two or four records wide,
+        // AND the masks across active lanes and left-pack the surviving
+        // ids; the scalar generation is the predicated loop. Emission order
+        // is the id order either way, so the output is byte-identical
+        // across levels.
+        fn emit<const K: usize>(
+            level: SimdLevel,
+            ids: &[u32],
+            lanes: &[&[f64]; MAX_LANES],
+            bounds: &[f64; MAX_LANES],
+            dst: &mut [u64],
+        ) -> usize {
+            let lanes = std::array::from_fn(|t| lanes[t]);
+            let bounds = std::array::from_fn(|t| bounds[t]);
+            simd::scan_emit::<K>(level, ids, lanes, bounds, dst)
         }
-        out.truncate(w);
-        m as u64
+        let w = match k {
+            1 => emit::<1>(level, ids, &lanes, &bounds, dst),
+            2 => emit::<2>(level, ids, &lanes, &bounds, dst),
+            3 => emit::<3>(level, ids, &lanes, &bounds, dst),
+            4 => emit::<4>(level, ids, &lanes, &bounds, dst),
+            5 => emit::<5>(level, ids, &lanes, &bounds, dst),
+            6 => emit::<6>(level, ids, &lanes, &bounds, dst),
+            7 => emit::<7>(level, ids, &lanes, &bounds, dst),
+            8 => emit::<8>(level, ids, &lanes, &bounds, dst),
+            _ => self.scan_masked(s, q, ids, dst),
+        };
+        out.truncate(start + w);
+    }
+
+    /// More than `MAX_LANES` active tests (only reachable at `D > 4`): a
+    /// masked chunk pass over every active lane, writing the surviving ids
+    /// to the front of `dst`; returns how many.
+    fn scan_masked(&self, s: &Scan<D>, q: &Aabb<D>, ids: &[u32], dst: &mut [u64]) -> usize {
+        let b = s.b as usize;
+        let m = ids.len();
+        let mut mask = [true; SCAN_CHUNK];
+        let mut w = 0usize;
+        let mut base = 0usize;
+        while base < m {
+            let c = SCAN_CHUNK.min(m - base);
+            mask[..c].fill(true);
+            for d in 0..D {
+                if s.test_lo[d] {
+                    let qhi = q.hi[d];
+                    let lane = &self.rec_lo(d)[b + base..b + base + c];
+                    for (mk, &v) in mask[..c].iter_mut().zip(lane) {
+                        *mk &= v <= qhi;
+                    }
+                }
+                if s.test_hi[d] {
+                    let nqlo = -q.lo[d];
+                    let lane = &self.rec_nhi(d)[b + base..b + base + c];
+                    for (mk, &v) in mask[..c].iter_mut().zip(lane) {
+                        *mk &= v <= nqlo;
+                    }
+                }
+            }
+            for (j, &mk) in mask[..c].iter().enumerate() {
+                dst[w] = ids[base + j] as u64;
+                w += mk as usize;
+            }
+            base += c;
+        }
+        w
+    }
+}
+
+/// One entry of a sealed read's **plan**: records `b..e`
+/// (region-relative) of seal `region`, and the lane tests they still need
+/// (`test_lo[d]`: `rec_lo[d] <= q.hi[d]`; `test_hi[d]`: `rec_hi[d] >=
+/// q.lo[d]`). An entry with no lane test is a contained node or region,
+/// emitted wholesale. Every record an entry covers counts as tested (its
+/// node's box or its lane tests decide it), so a plan's tested count is
+/// the sum of its entry lengths.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Scan<const D: usize> {
+    /// Index of the region in the engine's seal list.
+    pub region: usize,
+    /// First record (region-relative).
+    pub b: u32,
+    /// Past-the-end record (region-relative).
+    pub e: u32,
+    /// Lower-corner lane tests still undecided, per dimension.
+    pub test_lo: [bool; D],
+    /// Upper-corner lane tests still undecided, per dimension.
+    pub test_hi: [bool; D],
+}
+
+impl<const D: usize> Scan<D> {
+    /// The whole of a region of `records` records, with no lane test: the
+    /// query contains the region root's bounding box.
+    pub fn all(region: usize, records: usize) -> Self {
+        Self {
+            region,
+            b: 0,
+            e: records as u32,
+            test_lo: [false; D],
+            test_hi: [false; D],
+        }
+    }
+
+    /// Records covered (and tested).
+    pub fn len(&self) -> usize {
+        (self.e - self.b) as usize
+    }
+
+    /// Appends `s` to `plan`, fusing it into the last entry when that one
+    /// ends where `s` begins in the same region and needs the same lane
+    /// tests: one scan call instead of one per leaf, with the same output.
+    pub fn push(plan: &mut Vec<Self>, s: Self) {
+        match plan.last_mut() {
+            Some(last)
+                if last.region == s.region
+                    && last.e == s.b
+                    && last.test_lo == s.test_lo
+                    && last.test_hi == s.test_hi =>
+            {
+                last.e = s.e;
+            }
+            _ => plan.push(s),
+        }
     }
 }
 
@@ -751,6 +789,7 @@ mod tests {
     use crate::{Quasii, QuasiiConfig};
     use quasii_common::dataset::uniform_boxes_in;
     use quasii_common::index::SpatialIndex;
+    use quasii_common::workload;
 
     /// Finalizes a small index and seals by hand, comparing the arena
     /// traversal against the engine's own answers.
@@ -782,20 +821,60 @@ mod tests {
         for q in &queries {
             let expect = idx.query_collect(q);
             let qe = idx.extend_query(q);
-            let mut got = Vec::new();
-            let (arr2, _, roots, _, _) = idx.raw_parts();
-            for (s, r) in roots.iter().zip(&regions) {
+            let mut plan = Vec::new();
+            let (_, _, roots, _, _) = idx.raw_parts();
+            for (k, (s, r)) in roots.iter().zip(&regions).enumerate() {
                 assert_eq!((s.begin, s.end), (r.begin, r.end));
                 if s.key_lo > qe.hi[0] {
                     break;
                 }
                 if q.intersects(&s.bbox) {
-                    r.run(q, &qe, &mut got, SimdLevel::detect());
+                    r.plan(k, q, &qe, &mut plan);
                 }
             }
-            let _ = arr2;
+            let mut got = Vec::new();
+            for s in &plan {
+                regions[s.region].scan_range(s, q, &mut got, SimdLevel::detect());
+            }
             assert_eq!(got, expect, "query {q:?}");
         }
+    }
+
+    /// Plan-then-scan on heavy-tailed boxes (1 % of them up to 100× the
+    /// side of the rest, so the leaves holding one have inflated boxes and
+    /// many need four or more lane tests) gives the unsealed engine's ids,
+    /// order and tested count, query by query.
+    #[test]
+    fn plan_then_scan_matches_engine_on_heavy_tailed_boxes() {
+        let data = uniform_boxes_in::<3>(20_000, 1_000.0, 17);
+        let cfg = QuasiiConfig::with_tau(16).with_threads(1);
+        let mut sealed = Quasii::new(data.clone(), cfg.clone());
+        sealed.finalize();
+        sealed.seal();
+        assert_eq!(sealed.sealed_fraction(), 1.0);
+        let mut oracle = Quasii::new(data, cfg.with_seal(false));
+        oracle.finalize();
+        let universe = Aabb::new([0.0; 3], [1_000.0; 3]);
+        let queries = workload::uniform(&universe, 300, 1e-4, 18).queries;
+        let lanes = |s: &Scan<3>| s.test_lo.iter().chain(&s.test_hi).filter(|&&t| t).count();
+        let mut widest = 0;
+        let mut plan = Vec::new();
+        for q in &queries {
+            let before = oracle.stats().objects_tested;
+            let want = oracle.query_collect(q);
+            let want_tested = oracle.stats().objects_tested - before;
+            let qe = sealed.extend_query(q);
+            sealed.plan_sealed_query(q, &qe, sealed.root_candidates(&qe), &mut plan);
+            widest = plan.iter().map(lanes).fold(widest, usize::max);
+            let mut got = Vec::new();
+            let tested = sealed.scan_sealed_plan(q, &plan, &mut got);
+            assert_eq!(got, want, "query {q:?}");
+            assert_eq!(tested, want_tested, "tested count of query {q:?}");
+        }
+        assert!(
+            widest >= 4,
+            "no plan entry needed 4+ lane tests (widest {widest})"
+        );
     }
 
     /// The blob roundtrip is the identity: re-parsing a built region's blob

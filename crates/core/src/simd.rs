@@ -9,8 +9,11 @@
 //!
 //! - **Sealed lane tests** ([`scan_emit`]): the bottom-level
 //!   `rec_lo`/`rec_nhi` columns run 4-wide `v <= bound` compares, masks
-//!   are ANDed across active lanes, and ids are emitted by a
-//!   movemask-indexed left-packing permutation.
+//!   are ANDed across the `K` active lanes (every `K` from 1 to 8 is its
+//!   own monomorphized kernel), and ids are emitted by a movemask-indexed
+//!   left-packing permutation. [`prefetch`] is the sealed read's hint
+//!   helper: the plan step asks for a leaf's id and lane lines before any
+//!   of them is scanned.
 //! - **Batched AABB intersect** ([`collect_bottom`]): the unsealed
 //!   bottom-level collect tests a whole `#[repr(C)]` [`Aabb`] per
 //!   compare pair instead of 2×D scalar compares.
@@ -368,6 +371,33 @@ unsafe fn scan_emit_sse2<const K: usize>(
     w
 }
 
+/// Cache-line size the prefetch walk steps by.
+const LINE: usize = 64;
+
+/// Asks for every cache line `s` occupies, without waiting for any of
+/// them: a sealed read issues these for a whole plan before it scans, so
+/// the loads of many leaves are in flight at once instead of one leaf's
+/// at a time. A hint only (it never faults and changes no result);
+/// `_mm_prefetch` into all cache levels on x86_64, a no-op elsewhere.
+#[inline]
+pub fn prefetch<T>(s: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let p = s.as_ptr().cast::<i8>();
+        let head = p as usize % LINE;
+        let span = head + std::mem::size_of_val(s);
+        let mut off = 0;
+        while off < span {
+            // SAFETY: a prefetch only hints the cache; it never faults,
+            // and every line asked for holds part of `s`.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(p.wrapping_sub(head).wrapping_add(off)) };
+            off += LINE;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = s;
+}
+
 // ---------------------------------------------------------------------------
 // Batched AABB intersect for the unsealed bottom-level collect.
 // ---------------------------------------------------------------------------
@@ -530,35 +560,55 @@ mod tests {
         assert_eq!(SimdPolicy::Scalar.resolve(), SimdLevel::Scalar);
     }
 
+    /// Runs `scan_emit::<K>` over the first `K` lanes at `lv` and at the
+    /// scalar oracle and compares the emitted ids.
+    fn check_scan_emit<const K: usize>(lv: SimdLevel, ids: &[u32], cols: &[Vec<f64>]) {
+        let lanes: [&[f64]; K] = std::array::from_fn(|k| cols[k].as_slice());
+        // Bounds chosen so each lane passes a different share of records.
+        let bounds: [f64; K] = std::array::from_fn(|k| (k % 4 + 1) as f64);
+        let n = ids.len();
+        let (mut want, mut got) = (vec![0u64; n], vec![0u64; n]);
+        let w = scan_emit::<K>(SimdLevel::Scalar, ids, lanes, bounds, &mut want);
+        let g = scan_emit::<K>(lv, ids, lanes, bounds, &mut got);
+        assert_eq!((g, &got[..g]), (w, &want[..w]), "{lv:?} k={K} n={n}");
+    }
+
     #[test]
     fn scan_emit_matches_scalar_across_k_and_masks() {
         // Columns engineered so every chunk exercises a different
-        // pass/fail mask, lengths cover unaligned remainders.
+        // pass/fail mask (coprime periods), lengths cover unaligned
+        // remainders, and K runs over every lane count the sealed scan
+        // dispatches (1..=8).
+        const PERIODS: [usize; 8] = [3, 5, 7, 2, 11, 13, 4, 9];
         for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 15, 16, 33] {
             let ids: Vec<u32> = (0..n as u32).map(|i| i * 7 + 3).collect();
-            let l0: Vec<f64> = (0..n).map(|i| (i % 3) as f64).collect();
-            let l1: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
-            let l2: Vec<f64> = (0..n).map(|i| (i % 7) as f64).collect();
-            let mut want = vec![0u64; n];
-            let mut got = vec![0u64; n];
+            let cols: Vec<Vec<f64>> = PERIODS
+                .iter()
+                .map(|&p| (0..n).map(|i| (i % p) as f64).collect())
+                .collect();
             for lv in levels() {
-                let w1 = scan_emit::<1>(SimdLevel::Scalar, &ids, [&l0], [1.0], &mut want);
-                let g1 = scan_emit::<1>(lv, &ids, [&l0], [1.0], &mut got);
-                assert_eq!((g1, &got[..g1]), (w1, &want[..w1]), "{lv:?} k=1 n={n}");
-                let w2 = scan_emit::<2>(SimdLevel::Scalar, &ids, [&l0, &l1], [1.0, 2.0], &mut want);
-                let g2 = scan_emit::<2>(lv, &ids, [&l0, &l1], [1.0, 2.0], &mut got);
-                assert_eq!((g2, &got[..g2]), (w2, &want[..w2]), "{lv:?} k=2 n={n}");
-                let w3 = scan_emit::<3>(
-                    SimdLevel::Scalar,
-                    &ids,
-                    [&l0, &l1, &l2],
-                    [1.0, 2.0, 4.0],
-                    &mut want,
-                );
-                let g3 = scan_emit::<3>(lv, &ids, [&l0, &l1, &l2], [1.0, 2.0, 4.0], &mut got);
-                assert_eq!((g3, &got[..g3]), (w3, &want[..w3]), "{lv:?} k=3 n={n}");
+                check_scan_emit::<1>(lv, &ids, &cols);
+                check_scan_emit::<2>(lv, &ids, &cols);
+                check_scan_emit::<3>(lv, &ids, &cols);
+                check_scan_emit::<4>(lv, &ids, &cols);
+                check_scan_emit::<5>(lv, &ids, &cols);
+                check_scan_emit::<6>(lv, &ids, &cols);
+                check_scan_emit::<7>(lv, &ids, &cols);
+                check_scan_emit::<8>(lv, &ids, &cols);
             }
         }
+    }
+
+    #[test]
+    fn prefetch_accepts_any_slice() {
+        // A hint never faults: empty, unaligned and multi-line slices.
+        let v: Vec<f64> = (0..100).map(f64::from).collect();
+        prefetch::<f64>(&[]);
+        prefetch(&v[3..3]);
+        prefetch(&v[1..2]);
+        prefetch(&v[..]);
+        let bytes = [0u8; 3];
+        prefetch(&bytes[1..]);
     }
 
     #[test]

@@ -50,6 +50,17 @@ pub use metrics::{Counter, CounterGroup, Gauge, GaugeVec, Histogram, HistogramSn
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
+/// Serializes the unit tests that touch process-global state (the
+/// registry's counters, the trace ring and its switch). The test harness
+/// runs tests on several threads, so without it one test's `reset` or
+/// `disable` can land inside another test's measuring window.
+#[cfg(test)]
+pub(crate) fn global_state_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Global metrics switch (counters, gauges, histograms). Off by default.
 static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
 

@@ -875,11 +875,13 @@ pub fn parse_prometheus(text: &str) -> Result<Exposition, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::global_state_lock;
 
     /// The acceptance gate: rendering the registry and parsing it back
     /// reproduces every value.
     #[test]
     fn prometheus_round_trip() {
+        let _global = global_state_lock();
         reset();
         QUERIES_TOTAL.add(123);
         SEALED_QUERIES_TOTAL.add(7);
@@ -968,6 +970,7 @@ mod tests {
 
     #[test]
     fn table_and_jsonl_render() {
+        let _global = global_state_lock();
         reset();
         QUERIES_TOTAL.add(5);
         batch_phase(Phase::Classify).observe(2_000);

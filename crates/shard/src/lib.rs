@@ -789,10 +789,6 @@ impl<const D: usize> ShardedQuasii<D> {
         }
     }
 
-    /// [`execute_batch`](Self::execute_batch) with worker panics surfaced
-    /// as a structured error instead of a propagated panic: if any shard
-    /// engine poisons itself mid-batch the whole deployment poisons (first
-    /// failing shard wins, deterministically) and returns
     /// Books a batch's routing decision into the global registry: one
     /// fan-out histogram observation per query, one [`ShardRoute`] trace
     /// event per visited shard. `assigned` is the router's per-shard query
@@ -838,6 +834,10 @@ impl<const D: usize> ShardedQuasii<D> {
         }
     }
 
+    /// [`execute_batch`](Self::execute_batch) with worker panics surfaced
+    /// as a structured error instead of a propagated panic: if any shard
+    /// engine poisons itself mid-batch the whole deployment poisons (first
+    /// failing shard wins, deterministically) and returns
     /// [`EnginePoisoned`]; call [`repair`](Self::repair) to recover. The
     /// deployment **never** silently returns partial results.
     pub fn try_execute_batch(
@@ -908,13 +908,22 @@ impl<const D: usize> ShardedQuasii<D> {
 
         // Merge hits per query in shard order (deterministic), then
         // canonicalize: shards are disjoint, so this is a duplicate-free
-        // union sorted by id.
+        // union sorted by id. The first shard's vector becomes the answer,
+        // grown once to the summed hit length before the others append.
+        let mut total = vec![0usize; queries.len()];
+        for t in &tasks {
+            for (&j, hits) in t.queries.iter().zip(&t.hits) {
+                total[j] += hits.len();
+            }
+        }
+        let mut started = vec![false; queries.len()];
         for t in tasks {
-            for (&j, hits) in t.queries.iter().zip(t.hits) {
-                if results[j].is_empty() {
-                    results[j] = hits;
-                } else {
+            for (&j, mut hits) in t.queries.iter().zip(t.hits) {
+                if std::mem::replace(&mut started[j], true) {
                     results[j].extend(hits);
+                } else {
+                    hits.reserve_exact(total[j] - hits.len());
+                    results[j] = hits;
                 }
             }
         }
